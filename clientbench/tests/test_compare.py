@@ -90,31 +90,82 @@ class JudgeTest(unittest.TestCase):
 
 
 class ReportTest(unittest.TestCase):
-    def test_report_flags_regression(self):
-        spec = {"end_to_end": [
-            {"name": "throughput_tps", "unit": "1/s", "better": "higher",
-             "bound": 0.1}]}
+    SPEC = {"end_to_end": [
+        {"name": "throughput_tps", "unit": "1/s", "better": "higher",
+         "bound": 0.1}]}
+
+    @staticmethod
+    def result(value, correct=True, failed=0):
+        return {"correct": correct, "attempted": 1000, "failed": failed,
+                "metrics": {"throughput_tps": {"value": value}}}
+
+    def report(self, records):
+        """Status of compare.report over `records`, output discarded."""
         with tempfile.TemporaryDirectory() as d:
             spec_path = os.path.join(d, "BENCHMARK.json")
             runs_path = os.path.join(d, "runs.jsonl")
             with open(spec_path, "w") as f:
-                json.dump(spec, f)
+                json.dump(self.SPEC, f)
             with open(runs_path, "w") as f:
-                for i in range(10):
-                    for side, v in (("parent", 100 + i % 3),
-                                    ("change", 80 + i % 3)):
-                        rec = {"workload": "w", "pair": i, "side": side,
-                               "seed": i, "result": {
-                                   "correct": True, "metrics": {
-                                       "throughput_tps": {"value": v}}}}
-                        f.write(json.dumps(rec) + "\n")
+                for rec in records:
+                    f.write(json.dumps(rec) + "\n")
             with open(os.devnull, "w") as null:
                 saved, sys.stdout = sys.stdout, null
                 try:
-                    status = compare.report([runs_path], spec_path)
+                    return compare.report([runs_path], spec_path)
                 finally:
                     sys.stdout = saved
-            self.assertEqual(status, 1)
+
+    def pairs(self, parent, change, n=10):
+        """Records of n pairs; parent and change map pair i to a result."""
+        out = []
+        for i in range(n):
+            for side, result in (("parent", parent(i)), ("change", change(i))):
+                out.append({"workload": "w", "pair": i, "side": side,
+                            "seed": i, "result": result})
+        return out
+
+    def test_same_figures_pass(self):
+        same = lambda i: self.result(100 + i % 3)  # noqa: E731
+        self.assertEqual(self.report(self.pairs(same, same)), 0)
+
+    def test_report_flags_regression(self):
+        self.assertEqual(self.report(self.pairs(
+            lambda i: self.result(100 + i % 3),
+            lambda i: self.result(80 + i % 3))), 1)
+
+    def test_change_failing_its_checks_fails(self):
+        # Every pair but one is complete and equal, so only the broken run
+        # of the change can make the report fail.
+        records = self.pairs(lambda i: self.result(100 + i % 3),
+                             lambda i: self.result(100 + i % 3), n=11)
+        records[-1]["result"]["correct"] = False
+        self.assertEqual(self.report(records), 1)
+
+    def test_change_giving_no_result_fails(self):
+        records = self.pairs(lambda i: self.result(100 + i % 3),
+                             lambda i: self.result(100 + i % 3), n=11)
+        records[-1]["result"] = None
+        self.assertEqual(self.report(records), 1)
+
+    def test_broken_parent_run_only_loses_its_pair(self):
+        records = self.pairs(lambda i: self.result(100 + i % 3),
+                             lambda i: self.result(100 + i % 3), n=11)
+        records[0]["result"]["correct"] = False
+        self.assertEqual(self.report(records), 0)
+
+    def test_too_few_pairs_fails(self):
+        same = lambda i: self.result(100 + i % 3)  # noqa: E731
+        self.assertEqual(self.report(self.pairs(same, same, n=9)), 1)
+
+    def test_no_gain_when_change_fails_more(self):
+        self.assertEqual(
+            compare.judge(JudgeTest.PARENT,
+                          [v * 1.05 for v in JudgeTest.PARENT], "higher",
+                          0.1, more_failures=True)["verdict"],
+            "no gain: more failures")
+        self.assertEqual(compare.fail_share(
+            [self.result(1, failed=10), self.result(1, failed=30)]), 0.02)
 
 
 if __name__ == "__main__":
