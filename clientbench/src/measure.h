@@ -1,7 +1,8 @@
 // Measurement primitives of the client benchmark: a log-linear latency
-// histogram with bounded relative error, the open-loop Poisson schedule,
-// and per-transaction span records with self-time arithmetic. Header-only
-// so the self-tests exercise exactly the code the benchmark runs.
+// histogram with bounded relative error, the choice of the slices the host
+// disturbed least, the open-loop Poisson schedule, and per-transaction span
+// records with self-time arithmetic. Header-only so the self-tests exercise
+// exactly the code the benchmark runs.
 #pragma once
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 namespace clientbench {
@@ -90,6 +92,22 @@ class LatencyHistogram {
   uint64_t min_ = UINT64_MAX;
   uint64_t max_ = 0;
 };
+
+/// Indices of the `keep` slices of a window that the host disturbed least:
+/// the slices with the least host steal time, earlier slices first among
+/// equals. The choice reads only `steal`, never what the slices measured,
+/// so a stall of the program itself is as likely to fall among the chosen
+/// slices as among the others.
+inline std::vector<size_t> LeastStolen(const std::vector<uint64_t>& steal,
+                                       size_t keep) {
+  std::vector<size_t> idx(steal.size());
+  std::iota(idx.begin(), idx.end(), size_t{0});
+  std::stable_sort(idx.begin(), idx.end(), [&](size_t a, size_t b) {
+    return steal[a] < steal[b];
+  });
+  idx.resize(std::min(keep, idx.size()));
+  return idx;
+}
 
 /// Poisson inter-arrival gap in nanoseconds at `rate` arrivals per second,
 /// from a uniform draw u in [0, 1).

@@ -1,7 +1,8 @@
 // Self-tests of the benchmark's measurement code: percentile selection, the
-// Poisson schedule's mean gap, and span self-time arithmetic. Exits non-zero
-// if any expectation fails. Run through `python3 clientbench/run.py
-// --selftest`, or directly from the build directory.
+// Poisson schedule's mean gap, span self-time arithmetic and the choice of
+// the least-disturbed slices. Exits non-zero if any expectation fails. Run
+// through `python3 clientbench/run.py --selftest`, or directly from the
+// build directory.
 
 #include <algorithm>
 #include <cmath>
@@ -159,6 +160,20 @@ void TestSelfTimes() {
   Expect(self[1] == 120, "child self time", self[1], 120);
 }
 
+void TestLeastStolen() {
+  using clientbench::LeastStolen;
+  // The slices with the least steal, ties to the earlier slice, in order of
+  // steal.
+  const std::vector<size_t> got = LeastStolen({5, 0, 9, 1, 0, 1, 7}, 4);
+  const std::vector<size_t> want = {1, 4, 3, 5};
+  Expect(got == want, "least-stolen slices", got.size(), want.size());
+  // All equal (no steal reported): the earliest slices.
+  const std::vector<size_t> flat = LeastStolen({0, 0, 0, 0}, 2);
+  Expect(flat == std::vector<size_t>{0, 1}, "flat steal", flat.size(), 2);
+  Expect(LeastStolen({}, 1).empty(), "no slices", 1, 0);
+  Expect(LeastStolen({3}, 2) == std::vector<size_t>{0}, "keep > n", 1, 1);
+}
+
 }  // namespace
 
 int main() {
@@ -168,6 +183,7 @@ int main() {
   TestPercentileError();
   TestPoissonGap();
   TestSelfTimes();
+  TestLeastStolen();
   std::printf("%s: %d failure(s)\n", failures == 0 ? "OK" : "FAILED",
               failures);
   return failures == 0 ? 0 : 1;
