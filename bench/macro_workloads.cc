@@ -1,22 +1,19 @@
 // Macro benchmark for the decentralized commit pipeline.
 //
 // Section 1 — raw log-append throughput: N writer threads hammering
-// LogManager::Append, latch-free reservation vs the legacy single-latch
-// path, plus the batched row (LogStagingBuffer + AppendBatch, 32 sealed
-// records per ring reservation — the transaction-staging publish path).
-// On a many-context machine this shows the append-latch serialization
-// directly; on a single-context host the latch cannot convoy, so treat
-// the latched-vs-reserve comparison as trajectory numbers. The batched
-// row is meaningful everywhere: it amortizes per-record fixed costs that
-// exist even on one core.
+// LogManager::Append (one latch-free reservation per record), plus the
+// batched row (LogStagingBuffer + AppendBatch, 32 sealed records per ring
+// reservation — the transaction-staging publish path). The batched row
+// amortizes per-record fixed costs that exist even on one core. The
+// retired single-latch baseline's rows ("latched") stay in the committed
+// BENCH_workloads.json.
 //
 // Section 2 — commit pipeline end-to-end (the headline): TPC-B and the
 // TM1 full mix with a realistic log-device latency charged per flush,
-// comparing the legacy pipeline (latched append + broadcast wakeup +
-// locks held across the durable wait) against the decentralized one
-// (latch-free reservation + consolidated group commit + early lock
-// release). This is where removing the commit I/O from the lock critical
-// path becomes visible at the workload level.
+// comparing the legacy ordering (locks held across the durable wait)
+// against early lock release, with and without speculative acks. This is
+// where removing the commit I/O from the lock critical path becomes
+// visible at the workload level.
 //
 // Section 3 — SLI matrix: the same workloads through RunWorkload at an
 // agent ladder, SLI off and on, on the new pipeline.
@@ -58,12 +55,10 @@ struct LogAppendSample {
 /// transaction-staging path, minus the transaction). Records at or below
 /// the 64-byte wire bound additionally publish under kBatchSeal envelopes
 /// — one CRC per run instead of one per record.
-LogAppendSample RunLogAppend(const char* label, LogOptions::AppendMode mode,
-                             int threads, double duration_s,
+LogAppendSample RunLogAppend(const char* label, int threads, double duration_s,
                              uint32_t payload_bytes,
                              uint32_t batch_records = 0) {
   LogOptions o;
-  o.append_mode = mode;
   o.flush_interval_us = 10;
   LogManager log(o);
 
@@ -171,20 +166,17 @@ WorkloadSample RunWorkloadPoint(PaperWorkload& pw, const char* config,
 }
 
 /// A fresh database + loaded workload with the commit pipeline configured
-/// as "legacy" (single-latch append, broadcast wakeups, locks held until
-/// durable), "decentralized" (the new defaults: ELR + synchronous horizon
-/// waits) or "speculative" (decentralized + asynchronous commit
-/// dependencies — commits park deferred acks instead of stalling).
+/// as "legacy" (locks held until durable), "decentralized" (the defaults:
+/// ELR + synchronous horizon waits) or "speculative" (decentralized +
+/// asynchronous commit dependencies — commits park deferred acks instead
+/// of stalling).
 std::unique_ptr<PaperWorkload> MakeConfigured(const char* which,
                                               const char* config, bool sli,
                                               bool quick) {
   DatabaseOptions o = BenchDbOptions(sli);
   o.log.simulated_io_delay_us = kLogIoDelayUs;
   if (std::strcmp(config, "legacy") == 0) {
-    o.log.append_mode = LogOptions::AppendMode::kLatched;
-    o.log.waiter_policy = LogOptions::WaiterPolicy::kBroadcast;
     o.txn.early_lock_release = false;
-    o.txn.staged_log_appends = false;  // per-record appends, PR-2 baseline
   } else if (std::strcmp(config, "speculative") == 0) {
     o.txn.speculative_reads = true;
   }
@@ -219,7 +211,7 @@ int Main(int argc, char** argv) {
     if (agent_ladder.empty()) agent_ladder = {args.max_threads};
   }
 
-  // ---- Section 1: raw log append, latched vs reserve vs batched ------------
+  // ---- Section 1: raw log append, per-record vs batched ---------------------
   // 96-byte payloads (the historical rows) and 16-byte "tiny" payloads,
   // where the 32-byte header + per-record seal dominate and the batched
   // path's kBatchSeal envelopes amortize the checksum across whole runs.
@@ -238,24 +230,18 @@ int Main(int argc, char** argv) {
                    Fmt("%.1f", s.records_per_batch)});
   };
   for (int threads : agent_ladder) {
-    add_log_row(RunLogAppend("latched", LogOptions::AppendMode::kLatched,
-                             threads, append_window, 96));
+    add_log_row(RunLogAppend("reserve", threads, append_window, 96));
   }
   for (int threads : agent_ladder) {
-    add_log_row(RunLogAppend("reserve", LogOptions::AppendMode::kReserve,
-                             threads, append_window, 96));
+    add_log_row(RunLogAppend("batched", threads, append_window, 96,
+                             kBatchedRecords));
   }
   for (int threads : agent_ladder) {
-    add_log_row(RunLogAppend("batched", LogOptions::AppendMode::kReserve,
-                             threads, append_window, 96, kBatchedRecords));
+    add_log_row(RunLogAppend("reserve_tiny", threads, append_window, 16));
   }
   for (int threads : agent_ladder) {
-    add_log_row(RunLogAppend("reserve_tiny", LogOptions::AppendMode::kReserve,
-                             threads, append_window, 16));
-  }
-  for (int threads : agent_ladder) {
-    add_log_row(RunLogAppend("batched_tiny", LogOptions::AppendMode::kReserve,
-                             threads, append_window, 16, kBatchedRecords));
+    add_log_row(RunLogAppend("batched_tiny", threads, append_window, 16,
+                             kBatchedRecords));
   }
   const auto best_of = [&](const char* mode) {
     double best = 0;

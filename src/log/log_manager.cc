@@ -91,14 +91,6 @@ Lsn LogManager::Append(uint64_t txn_id, LogRecordType type,
     std::abort();
   }
 
-  if (options_.append_mode == LogOptions::AppendMode::kLatched) {
-    return AppendLatched(txn_id, type, payload, payload_len);
-  }
-  return AppendReserve(txn_id, type, payload, payload_len);
-}
-
-Lsn LogManager::AppendReserve(uint64_t txn_id, LogRecordType type,
-                              const void* payload, uint32_t payload_len) {
   const size_t total = sizeof(LogRecordHeader) + payload_len;
   // One fetch-add claims both the byte range [start, end) and the record's
   // publish-slot sequence number; LSN order and slot order can never
@@ -145,31 +137,6 @@ Lsn LogManager::AppendReserve(uint64_t txn_id, LogRecordType type,
   // `end` and the ring bytes visible before the watermark can cover them.
   slot.tag.store((seq + 1) & kSeqMask, std::memory_order_release);
   return end;
-}
-
-Lsn LogManager::AppendLatched(uint64_t txn_id, LogRecordType type,
-                              const void* payload, uint32_t payload_len) {
-  const size_t total = sizeof(LogRecordHeader) + payload_len;
-  const size_t cap = options_.buffer_bytes;
-  append_latch_.Acquire();
-  while (watermark_.load(std::memory_order_relaxed) + total -
-             durable_lsn_.load(std::memory_order_acquire) >
-         cap) {
-    append_latch_.Release();
-    BackpressurePause();
-    append_latch_.Acquire();
-  }
-  const Lsn start = watermark_.load(std::memory_order_relaxed);
-  const LogRecordHeader hdr =
-      MakeLogRecordHeader(txn_id, type, start, payload, payload_len);
-  CopyIntoRing(start, &hdr, sizeof(hdr));
-  if (payload_len > 0) {
-    CopyIntoRing(start + sizeof(hdr), payload, payload_len);
-  }
-  records_.fetch_add(1, std::memory_order_relaxed);
-  watermark_.store(start + total, std::memory_order_release);
-  append_latch_.Release();
-  return start + total;
 }
 
 void LogManager::PlanBatchSegments(LogStagingBuffer* staging) const {
@@ -264,10 +231,10 @@ size_t LogManager::SealSegmentIntoRing(LogStagingBuffer* staging,
   return sizeof(env) + seg.stage_len;
 }
 
-Lsn LogManager::PublishChunkReserve(LogStagingBuffer* staging,
+Lsn LogManager::PublishChunk(LogStagingBuffer* staging,
                                     const LogBatchSegment* segs, size_t n,
                                     size_t total) {
-  // Identical protocol to AppendReserve, with the whole chunk riding one
+  // Identical protocol to Append, with the whole chunk riding one
   // ticket and one publish slot — the amortization this path exists for.
   const uint64_t ticket = ticket_.fetch_add(
       (uint64_t{1} << kSeqShift) + total, std::memory_order_relaxed);
@@ -297,32 +264,6 @@ Lsn LogManager::PublishChunkReserve(LogStagingBuffer* staging,
   return end;
 }
 
-Lsn LogManager::PublishChunkLatched(LogStagingBuffer* staging,
-                                    const LogBatchSegment* segs, size_t n,
-                                    size_t total) {
-  const size_t cap = options_.buffer_bytes;
-  append_latch_.Acquire();
-  while (watermark_.load(std::memory_order_relaxed) + total -
-             durable_lsn_.load(std::memory_order_acquire) >
-         cap) {
-    append_latch_.Release();
-    BackpressurePause();
-    append_latch_.Acquire();
-  }
-  const Lsn start = watermark_.load(std::memory_order_relaxed);
-  Lsn cursor = start;
-  uint64_t recs = 0;
-  for (size_t i = 0; i < n; ++i) {
-    cursor += SealSegmentIntoRing(staging, segs[i], cursor);
-    recs += segs[i].count;
-  }
-  assert(cursor == start + total);
-  records_.fetch_add(recs, std::memory_order_relaxed);
-  watermark_.store(start + total, std::memory_order_release);
-  append_latch_.Release();
-  return start + total;
-}
-
 Lsn LogManager::AppendBatch(LogStagingBuffer* staging) {
   ScopedComponent comp(Component::kLog);
   if (staging->empty()) return appended_lsn();
@@ -335,7 +276,6 @@ Lsn LogManager::AppendBatch(LogStagingBuffer* staging) {
   // chunk keeps the flusher pipelined behind very large batches; in the
   // intended regime (staging watermark << ring) a batch is one chunk.
   const size_t chunk_limit = std::max<size_t>(cap / 2, 1);
-  const bool latched = options_.append_mode == LogOptions::AppendMode::kLatched;
   Lsn end = 0;
   size_t i = 0;
   uint64_t batch_records = 0;
@@ -353,8 +293,7 @@ Lsn LogManager::AppendBatch(LogStagingBuffer* staging) {
       total += segs[j].wire_bytes();
       ++j;
     }
-    end = latched ? PublishChunkLatched(staging, segs.data() + i, j - i, total)
-                  : PublishChunkReserve(staging, segs.data() + i, j - i, total);
+    end = PublishChunk(staging, segs.data() + i, j - i, total);
     CountEvent(Counter::kLogBatchAppends);
     for (size_t k = i; k < j; ++k) batch_records += segs[k].count;
     batch_bytes += total;
@@ -367,86 +306,19 @@ Lsn LogManager::AppendBatch(LogStagingBuffer* staging) {
 }
 
 void LogManager::WaitDurable(Lsn lsn) {
-  if (!options_.durable_commit) return;
-  if (durable_lsn_.load(std::memory_order_acquire) >= lsn) return;
-
-  ScopedComponent comp(Component::kLog);
-  const uint64_t t0 = RdCycles();
-  if (options_.waiter_policy == LogOptions::WaiterPolicy::kBroadcast) {
-    std::unique_lock<std::mutex> lk(flush_mu_);
-    flush_cv_.notify_one();
-    durable_cv_.wait(lk, [&] {
-      return durable_lsn_.load(std::memory_order_acquire) >= lsn || stop_;
-    });
-  } else {
-    // One node per thread: after the flusher sets `done` it drops every
-    // reference, so returning (and later re-pushing the same node) is safe.
-    // A stale notify from a previous use only causes a spurious wake, which
-    // the done-flag recheck absorbs.
-    thread_local CommitWaiter node;
-    node.lsn = lsn;
-    node.done.store(false, std::memory_order_relaxed);
-    CommitWaiter* head = waiters_.load(std::memory_order_relaxed);
-    do {
-      node.next = head;
-    } while (!waiters_.compare_exchange_weak(head, &node,
-                                             std::memory_order_release,
-                                             std::memory_order_relaxed));
-    // Kick the flusher: it settles the waiter list on every pass, so a push
-    // that races a concurrent settle is picked up by the pass this notify
-    // (or the periodic timeout) triggers.
-    flush_cv_.notify_one();
-    while (!node.done.load(std::memory_order_acquire)) {
-      node.done.wait(false, std::memory_order_acquire);
-    }
-    CountEvent(Counter::kGroupCommitWaitersWoken);
-  }
-  if (ThreadProfile* p = ThreadProfile::Current()) {
-    p->AttributeBlocked(t0, RdCycles());
-  }
-}
-
-bool LogManager::WaitDurableUntil(Lsn lsn, uint64_t deadline_ns) {
-  if (!options_.durable_commit) return true;
-  if (durable_lsn_.load(std::memory_order_acquire) >= lsn) return true;
-  if (deadline_ns == 0) {
-    WaitDurable(lsn);
-    return true;
-  }
-  ScopedComponent comp(Component::kLog);
-  const uint64_t t0 = RdCycles();
-  // Poll at flush cadence: the durable LSN only advances when the flusher
-  // runs, so re-checking once per flush interval observes a hardening
-  // within ~one flush period without the per-thread settlement node (which
-  // cannot be abandoned mid-wait — the flusher would settle freed memory).
-  const uint64_t poll_ns =
-      std::max<uint64_t>(options_.flush_interval_us * 1000, 1'000);
-  bool durable;
-  {
-    std::unique_lock<std::mutex> lk(flush_mu_);
-    flush_cv_.notify_one();
-    for (;;) {
-      durable = durable_lsn_.load(std::memory_order_acquire) >= lsn;
-      if (durable || stop_) break;
-      const uint64_t now = NowNanos();
-      if (now >= deadline_ns) break;
-      durable_cv_.wait_for(
-          lk, std::chrono::nanoseconds(std::min(poll_ns, deadline_ns - now)));
-    }
-  }
-  if (ThreadProfile* p = ThreadProfile::Current()) {
-    p->AttributeBlocked(t0, RdCycles());
-  }
-  return durable;
+  // Stack-local node: the flusher never touches it after its terminal store,
+  // so returning the moment the state settles is safe.
+  DeferredAck ack;
+  ack.lsn = lsn;
+  if (!ParkDeferred(&ack)) return;
+  AwaitDeferred(ack, /*deadline_ns=*/0);
+  CountEvent(Counter::kGroupCommitWaitersWoken);
 }
 
 bool LogManager::ParkDeferred(DeferredAck* ack) {
   // Inline settle when the horizon is already durable (the common case on
-  // read-mostly workloads: the observed writers hardened flushes ago) or
-  // when durability is off — then there is nothing to wait for by
-  // definition, matching WaitDurable's early return.
-  if (!options_.durable_commit ||
-      durable_lsn_.load(std::memory_order_acquire) >= ack->lsn) {
+  // read-mostly workloads: the observed writers hardened flushes ago).
+  if (durable_lsn_.load(std::memory_order_acquire) >= ack->lsn) {
     ack->settle_ns = ack->park_ns;
     ack->state.store(DeferredAck::kDurable, std::memory_order_release);
     return false;
@@ -458,12 +330,40 @@ bool LogManager::ParkDeferred(DeferredAck* ack) {
   } while (!deferred_.compare_exchange_weak(head, ack,
                                             std::memory_order_release,
                                             std::memory_order_relaxed));
-  // Kick the flusher (same contract as WaitDurable's push): a park racing
+  // Kick the flusher: it settles the queue on every pass, so a park racing
   // a concurrent settle pass is picked up by the pass this notify — or the
   // periodic timeout — triggers. A pathological race where the LSN became
   // durable between our check and the push just settles one pass later.
   flush_cv_.notify_one();
   return true;
+}
+
+bool LogManager::AwaitDeferred(const DeferredAck& ack, uint64_t deadline_ns) {
+  ScopedComponent comp(Component::kLog);
+  const uint64_t t0 = RdCycles();
+  bool settled = true;
+  if (deadline_ns == 0) {
+    ack.AwaitSettled();
+  } else {
+    // Atomic waits have no timeout, so re-check at flush cadence: the ack
+    // only settles when the flusher runs, so one check per flush interval
+    // observes a settlement within ~one flush period.
+    const uint64_t poll_ns =
+        std::max<uint64_t>(options_.flush_interval_us * 1000, 1'000);
+    for (;;) {
+      settled =
+          ack.state.load(std::memory_order_acquire) != DeferredAck::kParked;
+      if (settled) break;
+      const uint64_t now = NowNanos();
+      if (now >= deadline_ns) break;
+      std::this_thread::sleep_for(
+          std::chrono::nanoseconds(std::min(poll_ns, deadline_ns - now)));
+    }
+  }
+  if (ThreadProfile* p = ThreadProfile::Current()) {
+    p->AttributeBlocked(t0, RdCycles());
+  }
+  return settled;
 }
 
 bool LogManager::AdvanceWatermarkLocked() {
@@ -506,32 +406,6 @@ void LogManager::EmitToSink(Lsn from, Lsn to) {
   }
 }
 
-void LogManager::SettleWaiters(bool shutdown) {
-  // Claim every newly pushed node and fold it into the flusher-private
-  // pending list (only this thread ever walks `pending_`).
-  CommitWaiter* incoming = waiters_.exchange(nullptr, std::memory_order_acquire);
-  while (incoming != nullptr) {
-    CommitWaiter* next = incoming->next;
-    incoming->next = pending_;
-    pending_ = incoming;
-    incoming = next;
-  }
-  const Lsn durable = durable_lsn_.load(std::memory_order_relaxed);
-  CommitWaiter** pp = &pending_;
-  while (*pp != nullptr) {
-    CommitWaiter* w = *pp;
-    if (shutdown || w->lsn <= durable) {
-      *pp = w->next;
-      w->next = nullptr;
-      // After this store the node belongs to its owner thread again.
-      w->done.store(true, std::memory_order_release);
-      w->done.notify_one();
-    } else {
-      pp = &w->next;
-    }
-  }
-}
-
 void LogManager::SettleDeferredAcks(bool shutdown) {
   DeferredAck* incoming =
       deferred_.exchange(nullptr, std::memory_order_acquire);
@@ -544,6 +418,7 @@ void LogManager::SettleDeferredAcks(bool shutdown) {
   if (deferred_pending_ == nullptr) return;
   const Lsn durable = durable_lsn_.load(std::memory_order_relaxed);
   const uint64_t now = NowNanos();
+  bool settled = false;
   DeferredAck** pp = &deferred_pending_;
   while (*pp != nullptr) {
     DeferredAck* a = *pp;
@@ -558,11 +433,12 @@ void LogManager::SettleDeferredAcks(bool shutdown) {
       a->state.store(a->lsn <= durable ? DeferredAck::kDurable
                                        : DeferredAck::kLost,
                      std::memory_order_release);
-      a->state.notify_one();
+      settled = true;
     } else {
       pp = &a->next;
     }
   }
+  if (settled) DeferredAck::WakeSettled();
 }
 
 void LogManager::FlushOnce() {
@@ -582,21 +458,8 @@ void LogManager::FlushOnce() {
       std::this_thread::sleep_for(
           std::chrono::microseconds(options_.simulated_io_delay_us));
     }
-    if (options_.waiter_policy == LogOptions::WaiterPolicy::kBroadcast) {
-      // The mutex orders the durable-LSN store against a committer's
-      // predicate check, closing the classic lost-wakeup window.
-      {
-        std::lock_guard<std::mutex> g(flush_mu_);
-        durable_lsn_.store(target, std::memory_order_release);
-      }
-      durable_cv_.notify_all();
-    } else {
-      durable_lsn_.store(target, std::memory_order_release);
-    }
+    durable_lsn_.store(target, std::memory_order_release);
     flushes_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (options_.waiter_policy == LogOptions::WaiterPolicy::kConsolidated) {
-    SettleWaiters(/*shutdown=*/false);
   }
   SettleDeferredAcks(/*shutdown=*/false);
 }
@@ -613,12 +476,10 @@ void LogManager::FlusherLoop() {
   }
   lk.unlock();
   // Drain on shutdown: harden whatever is completely published, then
-  // release every committer (and every parked deferred ack) so nobody
-  // hangs and no settlement-queue pointer outlives the flusher.
+  // settle every parked ack so nobody hangs and no settlement-queue pointer
+  // outlives the flusher.
   FlushOnce();
-  SettleWaiters(/*shutdown=*/true);
   SettleDeferredAcks(/*shutdown=*/true);
-  durable_cv_.notify_all();
 }
 
 Lsn LogManager::reserved_lsn() const {

@@ -1,19 +1,17 @@
 // Write-ahead log with a decentralized commit pipeline.
 //
-// Append path (default): writers claim log space with a single atomic
-// fetch-add on a packed (record-seq, byte-offset) ticket — no latch — fill
-// their bytes in the ring, then publish the record through a per-slot
-// "filled" watermark. The flusher advances the contiguous-filled watermark
-// over completed records in LSN order, hardens [durable, watermark) (paying
-// an optional simulated device latency), and advances the durable LSN.
+// Append path: writers claim log space with a single atomic fetch-add on a
+// packed (record-seq, byte-offset) ticket — no latch — fill their bytes in
+// the ring, then publish the record through a per-slot "filled" watermark.
+// The flusher advances the contiguous-filled watermark over completed
+// records in LSN order, hardens [durable, watermark) (paying an optional
+// simulated device latency), and advances the durable LSN.
 //
-// Commit path (default): committers enqueue a {lsn, flag} node on a
-// latch-free stack; the flusher wakes exactly the waiters whose records it
-// just made durable (consolidated group commit) instead of broadcasting to
-// every committer on every flush.
-//
-// The legacy single-latch append and broadcast-condvar wakeup are retained
-// behind LogOptions knobs as the measured baseline (bench/macro_workloads).
+// Durability waits: every wait — WaitDurable, a deadline-bounded commit, a
+// speculative commit — parks a DeferredAck (commit_dependency.h) on one
+// latch-free settlement queue. Each flusher pass settles exactly the acks
+// whose LSN it just made durable, then releases their waiters with a single
+// wake (consolidated group commit).
 //
 // On-wire record format (self-describing, CRC32C-sealed): log_record.h.
 // The flusher hands hardened byte ranges to `flush_sink` — attach a
@@ -46,15 +44,6 @@ struct LogOptions {
   /// Per-flush simulated device latency (the paper charges 6 ms per I/O for
   /// data pages; log devices are faster — default 0, configurable).
   uint64_t simulated_io_delay_us = 0;
-  /// When false, WaitDurable returns immediately (for lock-bound
-  /// microbenchmarks that want the log out of the picture).
-  bool durable_commit = true;
-
-  enum class AppendMode : uint8_t {
-    kReserve,  ///< latch-free ring-space reservation (default)
-    kLatched,  ///< legacy single append latch (bench baseline)
-  };
-  AppendMode append_mode = AppendMode::kReserve;
 
   /// Bound on reserved-but-unconsumed records in flight (rounded up to a
   /// power of two, clamped to [2, 2^19] — strictly below the 2^20 seq-tag
@@ -64,13 +53,6 @@ struct LogOptions {
   /// ring (buffer_bytes / 128) so the in-flight runway covers a scheduler
   /// quantum even when one writer is preempted mid-fill.
   size_t reservation_slots = 0;
-
-  enum class WaiterPolicy : uint8_t {
-    kConsolidated,  ///< per-committer nodes; flusher wakes exactly the
-                    ///< waiters whose LSN just became durable (default)
-    kBroadcast,     ///< legacy shared condvar, notify_all per flush
-  };
-  WaiterPolicy waiter_policy = WaiterPolicy::kConsolidated;
 
   /// AppendBatch wraps runs of >= 2 consecutive records whose wire size
   /// (header + payload) is at most this bound in a kBatchSeal envelope:
@@ -130,27 +112,26 @@ class LogManager {
   /// returns appended_lsn().
   Lsn AppendBatch(LogStagingBuffer* staging);
 
-  /// Block until everything up to `lsn` is durable (group commit).
+  /// Block until everything up to `lsn` is durable (group commit): park a
+  /// stack-local ack and wait for the flusher to settle it. Returns at
+  /// shutdown even if `lsn` never hardened.
   void WaitDurable(Lsn lsn);
 
-  /// Deadline-bounded WaitDurable: block until `lsn` is durable or the
-  /// absolute deadline (NowNanos clock) passes, whichever is first. Returns
-  /// true when durable. `deadline_ns == 0` degrades to WaitDurable (always
-  /// true). Unlike WaitDurable's per-thread settlement node this polls the
-  /// durable LSN at flush cadence under the flush mutex — an abandoned wait
-  /// must leave no node behind for the flusher to settle.
-  bool WaitDurableUntil(Lsn lsn, uint64_t deadline_ns);
-
-  /// Asynchronous alternative to WaitDurable (speculative commits): park
-  /// `ack` — its `lsn` and `park_ns` already filled by the caller — on the
-  /// dependency-settlement queue and return immediately. The flusher
-  /// settles it (state kParked -> kDurable) in the pass that makes its LSN
-  /// durable, or as kLost at shutdown if the horizon never hardens. Fast
-  /// path: when the LSN is already durable (or durability is off) the ack
-  /// settles inline as kDurable and this returns false — nothing was
-  /// parked. The node must stay alive until it reaches a terminal state;
-  /// DeferredAckRing provides that lifetime.
+  /// Park `ack` — its `lsn` and `park_ns` already filled by the caller — on
+  /// the settlement queue and return immediately. The flusher settles it
+  /// (state kParked -> kDurable) in the pass that makes its LSN durable, or
+  /// as kLost at shutdown if the horizon never hardens. Fast path: when the
+  /// LSN is already durable the ack settles inline as kDurable and this
+  /// returns false — nothing was parked. The node must stay alive until it
+  /// reaches a terminal state (a waiting owner, or a DeferredAckRing).
   bool ParkDeferred(DeferredAck* ack);
+
+  /// Wait for a parked ack to settle, charging the blocked time to the log.
+  /// `deadline_ns == 0` waits untimed; otherwise the wait re-checks at
+  /// flush cadence and returns false once the absolute deadline (NowNanos
+  /// clock) passes, leaving the ack parked — only a node whose lifetime the
+  /// caller does not end (a DeferredAckRing slot) may be abandoned so.
+  bool AwaitDeferred(const DeferredAck& ack, uint64_t deadline_ns);
 
   Lsn durable_lsn() const { return durable_lsn_.load(std::memory_order_acquire); }
   /// End of the contiguously *published* prefix (every record below it is
@@ -165,15 +146,6 @@ class LogManager {
   LogStats Stats() const;
 
  private:
-  /// One committer waiting for its commit record to harden. Nodes are
-  /// thread-local (one outstanding WaitDurable per thread) and pushed onto
-  /// `waiters_` latch-free; the flusher owns them until it sets `done`.
-  struct CommitWaiter {
-    Lsn lsn = 0;
-    std::atomic<bool> done{false};
-    CommitWaiter* next = nullptr;
-  };
-
   // Reservation ticket layout: low kSeqShift bits = byte offset (16 TB of
   // log — the documented capacity limit), high 20 bits = record sequence
   // number. One fetch-add claims both, so slot order always equals LSN
@@ -203,10 +175,6 @@ class LogManager {
     uint64_t end = 0;
   };
 
-  Lsn AppendReserve(uint64_t txn_id, LogRecordType type, const void* payload,
-                    uint32_t payload_len);
-  Lsn AppendLatched(uint64_t txn_id, LogRecordType type, const void* payload,
-                    uint32_t payload_len);
   /// Split the staged records into plain/envelope segments (no copying;
   /// fills the staging buffer's reusable scratch).
   void PlanBatchSegments(LogStagingBuffer* staging) const;
@@ -214,13 +182,9 @@ class LogManager {
   /// the ring copy, and write the sealed header(s). Returns wire bytes.
   size_t SealSegmentIntoRing(LogStagingBuffer* staging,
                              const LogBatchSegment& seg, Lsn at);
-  /// Publish one reservation's worth of segments (reserve / latched path).
-  Lsn PublishChunkReserve(LogStagingBuffer* staging,
-                          const LogBatchSegment* segs, size_t n,
-                          size_t total);
-  Lsn PublishChunkLatched(LogStagingBuffer* staging,
-                          const LogBatchSegment* segs, size_t n,
-                          size_t total);
+  /// Publish one reservation's worth of segments.
+  Lsn PublishChunk(LogStagingBuffer* staging, const LogBatchSegment* segs,
+                   size_t n, size_t total);
   void CopyIntoRing(Lsn at, const void* src, size_t len);
   /// CopyIntoRing fused with a CRC32C extension over the copied bytes.
   uint32_t CopyIntoRingCrc(Lsn at, const void* src, size_t len, uint32_t crc);
@@ -239,9 +203,6 @@ class LogManager {
   /// publish) so progress never waits on the flusher's wake-up cadence.
   bool TryAdvanceWatermark();
   void EmitToSink(Lsn from, Lsn to);
-  /// Wake satisfied committers (consolidated policy; flusher thread only).
-  /// With `shutdown` set, every waiter is released regardless of LSN.
-  void SettleWaiters(bool shutdown);
   /// Settle parked deferred acks whose horizon is now durable (flusher
   /// thread only). With `shutdown` set, still-unsatisfied acks settle as
   /// kLost — their dependencies aborted with the log, so they must never
@@ -254,18 +215,14 @@ class LogManager {
   /// Publish slots, indexed by record seq & slot_mask_ (see PublishSlot).
   std::unique_ptr<PublishSlot[]> slots_;
 
-  SpinLatch append_latch_;  ///< kLatched mode only
   std::atomic<uint64_t> ticket_{0};
   std::atomic<Lsn> watermark_{0};
   std::atomic<Lsn> durable_lsn_{0};
   std::atomic<uint64_t> records_{0};
   std::atomic<uint64_t> flushes_{0};
 
-  std::atomic<CommitWaiter*> waiters_{nullptr};  ///< incoming (Treiber push)
-  CommitWaiter* pending_ = nullptr;              ///< flusher-private
-
-  /// Dependency-settlement queue (speculative commits): same incoming /
-  /// flusher-private split as the commit waiters above.
+  /// Settlement queue: acks are pushed latch-free (Treiber) onto
+  /// `deferred_`; the flusher folds them into its private pending list.
   std::atomic<DeferredAck*> deferred_{nullptr};
   DeferredAck* deferred_pending_ = nullptr;
 
@@ -275,8 +232,7 @@ class LogManager {
   uint64_t next_seq_ = 0;  ///< protected by publish_latch_
 
   std::mutex flush_mu_;
-  std::condition_variable flush_cv_;    // waking the flusher
-  std::condition_variable durable_cv_;  // waking committers (kBroadcast)
+  std::condition_variable flush_cv_;  // waking the flusher
   bool stop_ = false;
   std::thread flusher_;
 };

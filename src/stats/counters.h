@@ -49,8 +49,8 @@ enum class Counter : uint32_t {
   // -- log / commit pipeline --
   kLogResvRetries,          ///< backpressure pauses in the log append path
                             ///< (ring space or publish-slot waits)
-  kGroupCommitWaitersWoken, ///< committers woken individually by the
-                            ///< consolidated group-commit queue
+  kGroupCommitWaitersWoken, ///< WaitDurable calls that parked an ack and
+                            ///< were woken by its settlement
   kLogChecksumFail,         ///< records rejected on read-back (CRC mismatch
                             ///< or torn tail)
   kLogBatchAppends,         ///< batch publications (one ring reservation
@@ -111,8 +111,8 @@ enum class Counter : uint32_t {
   kLockDeadlineCancels,  ///< lock waits cut short by the txn deadline (the
                          ///< min(lock_timeout, remaining_deadline) path)
   kTxnDeadlineAborts,    ///< commit entry refused: deadline already passed
-  kTxnDeadlineDeferredAcks, ///< durable waits past deadline parked as
-                            ///< DeferredAcks instead of blocking on
+  kTxnDeadlineDeferredAcks, ///< durable waits that hit their deadline and
+                            ///< left the commit's DeferredAck parked
   kTxnRetries,           ///< driver re-submissions after a retryable abort
   kTxnRetriesExhausted,  ///< transactions dropped at the attempt budget
 
@@ -154,7 +154,8 @@ class CounterSet {
   std::string ToString() const;
 
   /// Thread-local counter set used by library internals. Defaults to a
-  /// process-wide fallback set so counters are never lost; agent threads
+  /// thread_local fallback set, so counts made on a thread that installed
+  /// none (background threads included) reach no caller; agent threads
   /// install their own with ScopedCounterSet.
   static CounterSet& Tls();
 

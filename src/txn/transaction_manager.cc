@@ -79,11 +79,6 @@ void TransactionManager::MaybeLogBegin(Transaction& txn) {
 void TransactionManager::EmitRecord(Transaction& txn, LogRecordType type,
                                     const void* payload,
                                     uint32_t payload_len) {
-  if (!UseStaging()) {
-    NoteFirstPublish(txn);
-    log_manager_->Append(txn.id(), type, payload, payload_len);
-    return;
-  }
   txn.staging_.Stage(txn.id(), type, payload, payload_len);
   // Long-transaction watermark: publish the partial batch (no commit
   // record yet — the txn still holds its locks, so dependents cannot have
@@ -152,9 +147,6 @@ void TransactionManager::LogIndexOp(AgentContext* agent, LogRecordType type,
 }
 
 Lsn TransactionManager::CommitLogInsert(Transaction& txn) {
-  if (!UseStaging()) {
-    return log_manager_->Append(txn.id(), LogRecordType::kCommit, nullptr, 0);
-  }
   // The commit record rides the SAME batch as the txn's remaining redo
   // records, last in line: one reservation fixes all their LSNs, with the
   // commit record's end LSN as the batch end. ELR stays sound — locks drop
@@ -170,37 +162,37 @@ void TransactionManager::CommitReleaseLocks(AgentContext* agent,
                             /*allow_inherit=*/true, commit_lsn);
 }
 
-void TransactionManager::CommitWaitDurable(Lsn lsn) {
-  log_manager_->WaitDurable(lsn);
-}
-
 void TransactionManager::CommitExternalize(AgentContext* agent, Lsn horizon) {
-  if (horizon == 0) return;
+  // Inline return: nothing to wait for, or the horizon already hardened
+  // (the dominant case on read-mostly workloads) — no ack is parked.
+  if (horizon == 0 || log_manager_->durable_lsn() >= horizon) return;
   const uint64_t deadline_ns = agent->txn().lock_client().deadline_ns();
   if (!options_.speculative_reads && deadline_ns == 0) {
-    CommitWaitDurable(horizon);
+    log_manager_->WaitDurable(horizon);  // untimed wait
     return;
   }
-  // Speculative: never stall the agent on the flusher. The fast check
-  // avoids burning a ring slot when the horizon already hardened (the
-  // dominant case on read-mostly workloads); otherwise park a deferred ack
-  // and let the flusher externalize the commit when the horizon does.
-  if (log_manager_->durable_lsn() >= horizon) return;
+  // Deadline wait or speculative park: both use a ring slot, which stays
+  // valid if the agent stops waiting before the flusher settles it.
+  DeferredAckRing& ring = agent->deferred_acks();
+  DeferredAck* ack = ring.Acquire();
+  ack->lsn = horizon;
+  ack->park_ns = NowNanos();
+  const bool parked = log_manager_->ParkDeferred(ack);
   if (!options_.speculative_reads) {
     // Deadline-bounded durable wait. The transaction IS committed at this
     // point (its commit record is inserted), so an expired budget cannot
     // abort it — instead externalization degrades to the speculative
-    // contract: park a DeferredAck and hand the acknowledgement to the
-    // flusher, freeing the agent to answer its next arrival on time.
-    if (log_manager_->WaitDurableUntil(horizon, deadline_ns)) return;
+    // contract: the ack stays parked and the flusher externalizes the
+    // commit, freeing the agent to answer its next arrival on time.
+    if (!parked || log_manager_->AwaitDeferred(*ack, deadline_ns)) {
+      ring.ReleaseLast();  // acknowledged by Commit()'s return
+      return;
+    }
     CountEvent(Counter::kTxnDeadlineDeferredAcks);
   }
-  DeferredAck* ack = agent->deferred_acks().Acquire();
-  ack->lsn = horizon;
-  ack->park_ns = NowNanos();
-  if (log_manager_->ParkDeferred(ack)) {
-    CountEvent(Counter::kTxnDeferredAcks);
-  }
+  // The agent stops waiting here; the flusher externalizes the commit when
+  // the horizon hardens.
+  if (parked) CountEvent(Counter::kTxnDeferredAcks);
 }
 
 Status TransactionManager::Commit(AgentContext* agent) {
@@ -251,8 +243,9 @@ Status TransactionManager::Commit(AgentContext* agent) {
     CountEvent(Counter::kTxnEarlyRelease);
     CommitExternalize(agent, std::max(lsn, txn.lock_client().dep_lsn()));
   } else {
+    // Locks are held across the durable wait, so it is always untimed.
     const Lsn lsn = CommitLogInsert(txn);
-    CommitWaitDurable(lsn);
+    log_manager_->WaitDurable(lsn);
     CommitReleaseLocks(agent, lsn);
   }
   txn.state_ = TxnState::kCommitted;
@@ -272,21 +265,15 @@ void TransactionManager::Abort(AgentContext* agent) {
   // transaction that logged nothing appends nothing on abort either.
   txn.RunUndo();
   if (log_manager_ != nullptr && txn.begin_logged_) {
-    if (UseStaging() && !txn.staged_published_) {
-      // Nothing of this transaction ever reached the log: drop the staged
-      // records instead of publishing dead weight — an aborted transaction
-      // is a ghost to recovery either way.
-      txn.staging_.Clear();
-    } else if (UseStaging()) {
-      // A partial batch already published (staging watermark): close the
-      // txn's on-log story with its abort record. Staged-but-unpublished
-      // redo is dropped first — recovery would skip it unconditionally
-      // (the txn is a ghost), so publishing it would be dead log weight.
-      txn.staging_.Clear();
+    // Staged-but-unpublished redo is dropped either way: recovery would
+    // skip it unconditionally (the txn is a ghost), so publishing it would
+    // be dead log weight. When nothing of this transaction ever reached the
+    // log, that is all; when a partial batch already published (staging
+    // watermark), the abort record closes the txn's on-log story.
+    txn.staging_.Clear();
+    if (txn.staged_published_) {
       txn.staging_.Stage(txn.id(), LogRecordType::kAbort, nullptr, 0);
       PublishStaged(txn);
-    } else {
-      log_manager_->Append(txn.id(), LogRecordType::kAbort, nullptr, 0);
     }
   }
   lock_manager_->ReleaseAll(&txn.lock_client(), &agent->sli(),

@@ -8,7 +8,9 @@
 //                     release (default) this happens while the flush is
 //                     still in flight, shrinking the lock hold time the
 //                     next transaction inherits across
-//   3. wait-durable — consolidated group commit on the commit record's LSN
+//   3. externalize  — wait for (or, speculatively, park) a DeferredAck on
+//                     the commit record's LSN; the flusher settles it in
+//                     the pass that hardens that LSN (group commit)
 #pragma once
 
 #include <atomic>
@@ -37,18 +39,13 @@ struct TxnOptions {
   /// the commit record is on "disk" (the legacy ordering).
   bool early_lock_release = true;
 
-  /// Accumulate a transaction's redo records in its private staging buffer
-  /// and publish them as ONE batch reservation at commit (the commit
-  /// record rides the same batch, after the redo records, so ELR ordering
-  /// is untouched). Amortizes the ring ticket fetch-add and publish-slot
-  /// handoff over the whole transaction and lets small records share a
-  /// kBatchSeal checksum. When false, every record pays its own
-  /// LogManager::Append (the pre-batching path, kept for comparison).
-  bool staged_log_appends = true;
-
-  /// Publish a partial batch once this many staged bytes accumulate, so a
-  /// long transaction cannot pin an unbounded buffer (or overflow the
-  /// ring). Orders of magnitude below the default 8 MiB ring.
+  /// A transaction's redo records accumulate in its private staging buffer
+  /// and publish as ONE batch reservation at commit (the commit record
+  /// rides the same batch, after the redo records, so ELR ordering is
+  /// untouched). A partial batch publishes once this many staged bytes
+  /// accumulate, so a long transaction cannot pin an unbounded buffer (or
+  /// overflow the ring). Orders of magnitude below the default 8 MiB ring;
+  /// 1 publishes every record at operation time.
   size_t staging_flush_bytes = 64u << 10;
 
   /// Speculative reads with asynchronous commit dependencies. A commit
@@ -72,10 +69,10 @@ struct TxnOptions {
   /// Default per-transaction response deadline in microseconds, applied at
   /// Begin when the agent carries none (AgentContext::set_txn_deadline_ns
   /// overrides per arrival). The deadline caps every lock wait at
-  /// min(lock_timeout, remaining budget), converts the durable-commit wait
-  /// into a deadline-bounded wait that parks a DeferredAck on expiry (so
+  /// min(lock_timeout, remaining budget), bounds the durable-commit wait
+  /// by the deadline — the commit's DeferredAck stays parked on expiry (so
   /// such consumers must drain their agent's ring, as with
-  /// speculative_reads), and makes Commit refuse — abort retryably — once
+  /// speculative_reads) — and makes Commit refuse — abort retryably — once
   /// the budget has already passed. 0 (default) = no deadline.
   uint64_t txn_deadline_us = 0;
 };
@@ -95,7 +92,7 @@ class TransactionManager {
   /// Start the agent's (reused) transaction and adopt inherited locks.
   Transaction* Begin(AgentContext* agent);
 
-  /// Commit via the log-insert / lock-release / wait-durable pipeline.
+  /// Commit via the log-insert / lock-release / externalize pipeline.
   Status Commit(AgentContext* agent);
 
   /// Abort: run undo actions (locks still held), log the abort, release
@@ -151,8 +148,8 @@ class TransactionManager {
   /// Emit the txn's kBegin record if this is its first mutation.
   void MaybeLogBegin(Transaction& txn);
 
-  /// Route one record to the txn's staging buffer (default) or straight to
-  /// LogManager::Append; fires the staging watermark.
+  /// Stage one record in the txn's staging buffer; fires the staging
+  /// watermark.
   void EmitRecord(Transaction& txn, LogRecordType type, const void* payload,
                   uint32_t payload_len);
 
@@ -160,18 +157,15 @@ class TransactionManager {
   /// LSN (0 when the buffer was empty).
   Lsn PublishStaged(Transaction& txn);
 
-  bool UseStaging() const {
-    return log_manager_ != nullptr && options_.staged_log_appends;
-  }
-
   // Commit pipeline phases. `commit_lsn` stamps released write locks as
   // the durability horizon later acquirers depend on (ELR soundness).
   Lsn CommitLogInsert(Transaction& txn);
   void CommitReleaseLocks(AgentContext* agent, Lsn commit_lsn);
-  void CommitWaitDurable(Lsn lsn);
   /// End game of the commit pipeline: make the commit externalizable at
-  /// `horizon`. Synchronous mode blocks (WaitDurable); speculative mode
-  /// parks a deferred ack on the settlement queue and returns.
+  /// `horizon`. The one place a commit chooses how to wait for durability:
+  /// return inline (horizon already durable), wait untimed (WaitDurable),
+  /// wait until the txn deadline on a ring-owned ack (left parked on
+  /// expiry), or park a speculative ack and return.
   void CommitExternalize(AgentContext* agent, Lsn horizon);
 
   /// Record that `txn`'s next publish is its first: capture a conservative

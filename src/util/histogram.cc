@@ -43,7 +43,7 @@ uint64_t Histogram::Percentile(double q) const {
   for (size_t i = 0; i < kNumBuckets; ++i) {
     seen += buckets_[i];
     if (static_cast<double>(seen) >= target) {
-      // Bucket i covers [2^(i-1), 2^i); return the geometric midpoint.
+      // Bucket i covers [2^(i-1), 2^i); return the arithmetic midpoint.
       const uint64_t lo = i == 0 ? 0 : (1ULL << (i - 1));
       const uint64_t hi = i >= 63 ? max_ : (1ULL << i);
       return std::min(max_, lo + (hi - lo) / 2);

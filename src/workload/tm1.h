@@ -13,7 +13,8 @@ namespace slidb {
 /// TM1 transaction types (paper order).
 enum class Tm1TxnType : uint8_t {
   kGetSubscriberData = 0,  // read-only, 35% of mix, 0% fail
-  kGetNewDestination,      // read-only, 10% of mix, ~76% fail
+  kGetNewDestination,      // read-only, 10% of mix, ~84% fail (loader
+                           // fills forwarding slots with p = 1/2)
   kGetAccessData,          // read-only, 35% of mix, ~37.5% fail
   kUpdateSubscriberData,   // update,     2% of mix, ~37.5% fail
   kUpdateLocation,         // update,    14% of mix, 0% fail

@@ -245,19 +245,6 @@ TEST(BTreeOlcTest, DrainedLeavesAreUnlinkedAndRetired) {
   EXPECT_EQ(v, 18u);
 }
 
-TEST(BTreeOlcTest, ReclaimKnobOffKeepsLazyBehaviour) {
-  CounterSet counters;
-  ScopedCounterSet routed(&counters);
-  BTreeOptions opts;
-  opts.reclaim_empty_leaves = false;
-  BTree tree(opts);
-  for (uint64_t i = 0; i < 2000; ++i) ASSERT_TRUE(tree.Insert(i, i).ok());
-  for (uint64_t i = 0; i < 2000; ++i) ASSERT_TRUE(tree.Remove(i, i).ok());
-  EXPECT_EQ(counters.Get(Counter::kBtreeLeafReclaims), 0u);
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_TRUE(tree.CheckInvariants());
-}
-
 // ---- concurrent stress: no lost or phantom entries ----
 
 // Writer t inserts pairs (key, value) with value = t << 24 | seq, so every

@@ -519,6 +519,49 @@ TEST(TxnTest, SpeculativeCommitsReturnEarlyAndSettleOnlyWhenDurable) {
   EXPECT_GT(dc.Get(Counter::kTxnDepSettleNs), 0u);
 }
 
+TEST(TxnTest, DeadlineExpiredCommitLeavesItsAckParkedUntilDurable) {
+  // A synchronous commit whose durable wait outlives its response budget.
+  // The commit record is inserted, so the transaction IS committed: Commit()
+  // returns OK on time and the acknowledgement stays parked on a ring-owned
+  // ack, which the flusher settles once the slow flush lands.
+  LockManagerOptions lo;
+  lo.deadlock_interval_us = 500;
+  LockManager lock_manager(lo);
+  LogOptions logo;
+  logo.flush_interval_us = 50;
+  logo.simulated_io_delay_us = 600'000;  // lands long after the deadline
+  LogManager log_manager(logo);
+  TxnOptions txo;
+  txo.txn_deadline_us = 50'000;
+  TransactionManager tm(&lock_manager, &log_manager, txo);
+
+  AgentContext agent(0);
+  CounterSet counters;
+  ScopedCounterSet routed(&counters);
+  tm.Begin(&agent);
+  ASSERT_TRUE(lock_manager
+                  .Lock(&agent.txn().lock_client(), LockId::Table(0, 1),
+                        LockMode::kX)
+                  .ok());
+  const uint8_t img[4] = {1, 2, 3, 4};
+  tm.LogHeapOp(&agent, LogRecordType::kUpdate, 1, Rid{0, 0}, {}, img);
+  ASSERT_TRUE(tm.Commit(&agent).ok());
+  const Lsn commit_lsn = log_manager.reserved_lsn();  // the batch's end
+  EXPECT_LT(log_manager.durable_lsn(), commit_lsn)
+      << "Commit() waited for the flush past its deadline";
+  EXPECT_EQ(counters.Get(Counter::kTxnDeadlineDeferredAcks), 1u);
+  EXPECT_EQ(counters.Get(Counter::kTxnDeferredAcks), 1u);
+  EXPECT_EQ(agent.deferred_acks().outstanding(), 1u);
+
+  agent.DrainDeferredAcks();
+  EXPECT_EQ(agent.deferred_acks().outstanding(), 0u);
+  EXPECT_GE(log_manager.durable_lsn(), commit_lsn);
+  // Settled kDurable: the reclaim charged a settle latency, never a
+  // dependency abort.
+  EXPECT_EQ(counters.Get(Counter::kTxnDepAbortedAcks), 0u);
+  EXPECT_GT(counters.Get(Counter::kTxnDepSettleNs), 0u);
+}
+
 TEST(TxnTest, WriterAbortAfterSpeculativeReadLeavesNoDependency) {
   // An aborting writer stamps no durability horizon on the locks it drops
   // (its effects were undone — there is nothing for a reader to depend
