@@ -18,7 +18,7 @@
 //           only the tail, so restart cost is bounded by checkpoint
 //           cadence instead of history length. Reports the redo fraction
 //           and the wall-clock speedup over the uncheckpointed replay.
-//   fsync_cadence: real-disk FileLogDevice append throughput at fsync
+//   fsync_cadence: real-disk SegmentedLogDevice append throughput at fsync
 //           cadence 1 (sync every flush), 8 (coalesced), and 0 (never —
 //           page-cache ceiling), the measured trade-off behind
 //           LogOptions::fsync_every_n_flushes.
@@ -237,26 +237,34 @@ struct FsyncSample {
   double appends_per_s;
 };
 
-/// Real-disk append throughput through a FileLogDevice at the given fsync
-/// cadence. Each append models one flusher pass (~4 KiB of log).
+/// Real-disk append throughput through a SegmentedLogDevice at the given
+/// fsync cadence. Each append models one flusher pass (~4 KiB of log). The
+/// segment holds every appended byte, so no rotation (and its extra fsync)
+/// lands in the timed loop.
 FsyncSample MeasureFsyncCadence(uint32_t cadence, uint64_t appends) {
   const std::string path = "slidb_bench_fsync.log";
-  std::remove(path.c_str());
+  const std::string seg0 = path + ".gen0.seg0";
+  std::remove(seg0.c_str());
   constexpr size_t kChunk = 4096;
   std::vector<uint8_t> buf(kChunk, 0xA5);
+  std::unique_ptr<SegmentedLogDevice> dev;
+  if (!SegmentedLogDevice::Open(path, cadence, (appends + 1) * kChunk, &dev)
+           .ok()) {
+    std::abort();
+  }
+  // An empty append creates seg0 (header fsync, rename, directory fsync)
+  // before the clock starts.
+  if (!dev->Append(buf.data(), 0, 0).ok()) std::abort();
   const uint64_t start = NowMicros();
-  {
-    std::unique_ptr<FileLogDevice> dev;
-    if (!FileLogDevice::Open(path, cadence, &dev).ok()) std::abort();
-    Lsn lsn = 0;
-    for (uint64_t i = 0; i < appends; ++i) {
-      if (!dev->Append(buf.data(), buf.size(), lsn).ok()) std::abort();
-      lsn += buf.size();
-    }
-  }  // destructor syncs any unsynced tail (cadence > 1)
+  Lsn lsn = 0;
+  for (uint64_t i = 0; i < appends; ++i) {
+    if (!dev->Append(buf.data(), buf.size(), lsn).ok()) std::abort();
+    lsn += buf.size();
+  }
+  dev.reset();  // destructor syncs any unsynced tail (cadence > 1)
   const double secs =
       static_cast<double>(NowMicros() - start) / 1'000'000.0;
-  std::remove(path.c_str());
+  std::remove(seg0.c_str());
   FsyncSample s{};
   s.cadence = cadence;
   s.mb_per_s = static_cast<double>(appends * kChunk) / secs / 1e6;

@@ -31,24 +31,17 @@ struct DatabaseOptions {
   LogOptions log;
   TxnOptions txn;
   BufferPoolOptions buffer;
-  /// Row-level locking (default). When false, data ops take full-table
-  /// S/X locks — the coarse-granularity ablation.
-  bool row_locking = true;
-  /// When non-empty, the WAL is persisted to this file (FileLogDevice
-  /// behind log.flush_sink) and Recover(log_path) can rebuild state after a
-  /// crash. Ignored if log.flush_sink is already set (tests install
+  /// When non-empty, the WAL is persisted under this path prefix as
+  /// `<log_path>.gen<G>.seg<N>` segment files (a SegmentedLogDevice behind
+  /// log.flush_sink: rotated fixed-size segments, crash-safe generations,
+  /// and checkpoint-driven recycling, so log disk is bounded by checkpoint
+  /// cadence) and Recover(log_path) can rebuild state after a crash. The
+  /// fsync cadence is LogOptions::fsync_every_n_flushes (default every
+  /// flush). Ignored if log.flush_sink is already set (tests install
   /// capture/crash sinks there).
   std::string log_path;
-  /// fsync the log file (the durability contract across host crashes); the
-  /// cadence is LogOptions::fsync_every_n_flushes (default every flush).
-  /// Off disables fsync entirely, trading durability for bench throughput.
-  bool log_sync_each_flush = true;
-  /// Nonzero: the log at log_path is a SegmentedLogDevice with this
-  /// per-segment payload capacity — rotated fixed-size segment files,
-  /// crash-safe generations, and checkpoint-driven recycling, so log disk
-  /// is bounded by checkpoint cadence. Zero (default): single-file
-  /// FileLogDevice with deferred truncation.
-  uint64_t log_segment_bytes = 0;
+  /// Per-segment payload capacity of the log at log_path. Must be nonzero.
+  uint64_t log_segment_bytes = 64ull << 20;
   /// Nonzero: run a background fuzzy checkpointer at this cadence.
   /// CheckpointNow() works either way.
   uint32_t checkpoint_interval_ms = 0;
@@ -109,15 +102,13 @@ class Database {
   // Restart-in-place is supported: constructing with the SAME log_path as
   // the crashed run is safe. After replay an OPENING CHECKPOINT is written
   // and hardened, making the new log self-contained across a second crash.
-  // In segmented mode (log_segment_bytes != 0) the window is fully closed:
-  // the new generation stays tentative — and the old one stays the source
-  // of truth — until the opening checkpoint is durable
-  // (SegmentedLogDevice::MarkGenerationAuthoritative). In single-file mode
-  // a crash *during* the opening checkpoint still loses data (the old file
-  // is overwritten in place); use segments where that matters.
+  // Until that checkpoint is durable the new log generation stays
+  // tentative and the old one stays the source of truth
+  // (SegmentedLogDevice::MarkGenerationAuthoritative), so a crash during
+  // recovery loses nothing.
 
   /// Recover from the durable log written via DatabaseOptions::log_path
-  /// (single file or segmented generation, per log_segment_bytes).
+  /// (its newest authoritative segment generation).
   Status Recover(const std::string& path, RecoveryReport* report = nullptr);
 
   /// Recover from an already-read durable byte stream (crash-test harness
@@ -192,13 +183,8 @@ class Database {
   Catalog& catalog() { return catalog_; }
   const DatabaseOptions& options() const { return options_; }
 
-  /// Toggle SLI between runs (no active transactions allowed).
-  void SetSliEnabled(bool enabled) {
-    lock_manager_->mutable_options().enable_sli = enabled;
-  }
-
-  /// Apply an SLI policy preset between runs (no active transactions
-  /// allowed); see SliMode in lock_manager.h.
+  /// Select the SLI policy between runs (no active transactions allowed);
+  /// see SliMode in lock_manager.h.
   void SetSliMode(SliMode mode) {
     ApplySliMode(lock_manager_->mutable_options(), mode);
   }
@@ -211,8 +197,7 @@ class Database {
   std::unique_ptr<BufferPool> buffer_pool_;
   // Declared before log_manager_: the flusher drains into the device's
   // sink during LogManager teardown, so the device must be destroyed after.
-  std::unique_ptr<LogDevice> log_device_;
-  SegmentedLogDevice* seg_device_ = nullptr;  ///< log_device_ downcast, or null
+  std::unique_ptr<SegmentedLogDevice> log_device_;
   std::unique_ptr<LogManager> log_manager_;
   std::unique_ptr<LockManager> lock_manager_;
   std::unique_ptr<TransactionManager> txn_manager_;

@@ -39,7 +39,7 @@ class HotTracker {
     return ContendedCount() >= min_contended;
   }
 
-  /// Adaptive-SLI state machine (LockManagerOptions::sli_adaptive): a sticky
+  /// Adaptive-SLI state machine (SliMode::kAdaptive): a sticky
   /// per-head "inheritance enabled" bit with separate enter and exit
   /// thresholds. Cold -> hot when the window's contended count reaches
   /// `enter`; hot -> cold only when it falls to <= `exit` (exit < enter

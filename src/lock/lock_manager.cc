@@ -502,8 +502,7 @@ void LockManager::ReleaseOne(LockClient* c, LockRequest* r, RequestPool* pool,
   // Only row heads are reclaimed eagerly: high-level heads must persist so
   // their hot-lock history survives between transactions (criterion 2), and
   // there are only O(tables + touched pages) of them.
-  if (empty &&
-      (id.level == LockLevel::kRow || !options_.retain_high_level_heads)) {
+  if (empty && id.level == LockLevel::kRow) {
     if (reclaims != nullptr) {
       reclaims->push_back(id);
     } else {
@@ -523,37 +522,29 @@ bool LockManager::EligibleForInheritance(
 
   bool ok = true;
   LockHead* h = r->head;
-  // Criterion 3 (correctness, not ablatable): shared-class mode only.
+  // Criterion 3 (correctness): shared-class mode only.
   if (!IsHeritableMode(r->mode)) ok = false;
   // Criterion 1: page level or higher.
-  if (ok && options_.sli_require_high_level &&
-      h->id.level == LockLevel::kRow) {
-    ok = false;
-  }
-  // Criterion 2: the lock is hot. Adaptive mode swaps the stateless window
-  // test for the per-head enter/exit state machine; transitions are counted
-  // so the benches can watch the policy switch per head.
-  if (ok && options_.sli_require_hot) {
-    if (options_.sli_adaptive) {
-      const bool was = h->hot.adaptive_hot();
-      const bool now = h->hot.IsHotAdaptive(options_.hot_min_contended,
-                                            options_.hot_exit_contended);
-      if (now != was) {
-        CountEvent(now ? Counter::kSliAdaptiveEnable
-                       : Counter::kSliAdaptiveCooldown);
-      }
-      if (!now) ok = false;
-    } else if (!h->hot.IsHot(options_.hot_min_contended)) {
-      ok = false;
+  if (ok && h->id.level == LockLevel::kRow) ok = false;
+  // Criterion 2: the lock is hot. kAlwaysInherit drops it; kAdaptive swaps
+  // the stateless window test for the per-head enter/exit state machine,
+  // counting transitions so the benches can watch the policy switch per head.
+  if (ok && options_.sli == SliMode::kOn) {
+    ok = h->hot.IsHot(options_.hot_min_contended);
+  } else if (ok && options_.sli == SliMode::kAdaptive) {
+    const bool was = h->hot.adaptive_hot();
+    const bool now = h->hot.IsHotAdaptive(options_.hot_min_contended,
+                                          options_.hot_exit_contended);
+    if (now != was) {
+      CountEvent(now ? Counter::kSliAdaptiveEnable
+                     : Counter::kSliAdaptiveCooldown);
     }
+    ok = now;
   }
   // Criterion 4: no other transaction is waiting.
-  if (ok && options_.sli_require_no_waiters &&
-      h->waiter_count.load(std::memory_order_acquire) != 0) {
-    ok = false;
-  }
+  if (ok && h->waiter_count.load(std::memory_order_acquire) != 0) ok = false;
   // Criterion 5: the same conditions hold for the parent, if any.
-  if (ok && options_.sli_require_parent && h->id.HasParent()) {
+  if (ok && h->id.HasParent()) {
     LockRequest* pr = c->cache().Find(h->id.Parent());
     if (pr == nullptr ||
         pr->status.load(std::memory_order_acquire) != RequestStatus::kGranted) {
@@ -570,7 +561,8 @@ bool LockManager::EligibleForInheritance(
 void LockManager::ReleaseAll(LockClient* c, AgentSliState* sli,
                              bool allow_inherit, uint64_t commit_lsn) {
   ScopedComponent comp(Component::kLockManager);
-  const bool sli_active = allow_inherit && options_.enable_sli && sli != nullptr;
+  const bool sli_enabled = options_.sli != SliMode::kOff;
+  const bool sli_active = allow_inherit && sli_enabled && sli != nullptr;
 
   // Each head latch window shrinks to a single summary update: wakeups are
   // collected per release and signalled right after that head's latch
@@ -580,14 +572,13 @@ void LockManager::ReleaseAll(LockClient* c, AgentSliState* sli,
   std::vector<LockId> reclaims;
 
   // Phase 1 (SLI bookkeeping): sweep the agent's inheritance list — free
-  // invalidated requests, discard (or keep, with hysteresis) inherited
-  // requests this transaction never used. Reclaimed ones moved to the
+  // invalidated requests, discard inherited requests this transaction never
+  // used (paper §4.4: "do nothing"). Reclaimed ones moved to the
   // private list and are handled in phase 2. Attributed to the SLI
   // component: "locks which are inherited but never used must still be
   // released, and that overhead counts toward SLI, not the lock manager."
   if (sli != nullptr) {
     ScopedComponent sli_comp(Component::kSli);
-    const bool sli_enabled = options_.enable_sli;
     LockRequest* r = sli->TakeInherited();
     while (r != nullptr) {
       LockRequest* next = r->agent_next;
@@ -601,10 +592,6 @@ void LockManager::ReleaseAll(LockClient* c, AgentSliState* sli,
           // speculation; keep it for the agent's next transaction. (TM1-
           // style workloads abort most transactions by design.)
           sli->PushInherited(r);
-        } else if (sli_enabled &&
-                   r->sli_miss_count < options_.sli_hysteresis) {
-          ++r->sli_miss_count;
-          sli->PushInherited(r);  // §4.4 option 2: momentum
         } else {
           // Take the request back to kGranted before touching its head:
           // while it stays kInherited a concurrent conflicter can
@@ -650,8 +637,7 @@ void LockManager::ReleaseAll(LockClient* c, AgentSliState* sli,
     // in scan-heavy transactions) away from the memoized parent check.
     const bool worth_considering =
         sli_active && IsHeritableMode(r->mode) &&
-        !(options_.sli_require_high_level &&
-          r->head->id.level == LockLevel::kRow);
+        r->head->id.level != LockLevel::kRow;
     if (worth_considering) {
       ScopedComponent sli_comp(Component::kSli);
       inherit = EligibleForInheritance(c, r, &memo, 0);
@@ -660,7 +646,6 @@ void LockManager::ReleaseAll(LockClient* c, AgentSliState* sli,
 
     if (inherit) {
       ScopedComponent sli_comp(Component::kSli);
-      r->sli_miss_count = 0;
       if (commit_lsn != 0 && IsWriteClassMode(r->mode)) {
         // Inheritance is a logical release: a conflicting acquirer that
         // invalidates this request (e.g. table-S vs inherited IX) still

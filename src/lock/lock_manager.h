@@ -30,31 +30,48 @@
 
 namespace slidb {
 
-/// Tuning knobs. The sli_require_* flags exist for the criteria-ablation
-/// experiments; defaults match the paper.
+/// The SLI policy (paper Section 4.2). Every mode other than kOff applies
+/// the eligibility criteria unconditionally: 1 (page level or higher), 3
+/// (shared-class mode), 4 (nobody waiting) and 5 (the parent is eligible
+/// too). The modes differ only in criterion 2, the hot-lock test:
+///  * kOn: the paper default, a stateless window test (hot = at least
+///    hot_min_contended of the head's last 16 latch acquisitions contended);
+///  * kAlwaysInherit: criterion 2 is dropped, every eligible head inherits
+///    regardless of heat;
+///  * kAdaptive: criterion 2 becomes a per-head state machine that turns
+///    inheritance on at hot_min_contended and off only once the window cools
+///    to hot_exit_contended or below.
+/// An inherited lock the next transaction leaves unused is always discarded
+/// at its commit (Section 4.4, "do nothing").
+enum class SliMode : uint8_t { kOff, kOn, kAlwaysInherit, kAdaptive };
+
+inline const char* SliModeName(SliMode mode) {
+  switch (mode) {
+    case SliMode::kOff: return "sli_off";
+    case SliMode::kOn: return "sli_on";
+    case SliMode::kAlwaysInherit: return "always_on";
+    case SliMode::kAdaptive: return "adaptive";
+  }
+  return "?";
+}
+
+/// Tuning knobs.
 struct LockManagerOptions {
   size_t num_buckets = 1 << 14;
 
+  /// Speculative lock inheritance policy (see SliMode).
+  SliMode sli = SliMode::kOff;
+
   /// Criterion 2 threshold: hot = at least this many of the last 16 latch
   /// acquisitions on the head were contended (paper: tunable threshold).
+  /// kAdaptive's enter threshold.
   uint32_t hot_min_contended = 4;
 
-  /// Adaptive-SLI mode (criterion 2 becomes a per-head state machine):
-  /// inheritance turns on for a head when its window reaches
-  /// hot_min_contended and stays on until the window cools to
-  /// hot_exit_contended or below. The gap between the two thresholds is the
-  /// hysteresis band that stops inheritance from flapping when a head
-  /// hovers near the trigger. Requires sli_require_hot; ignored otherwise.
-  bool sli_adaptive = false;
-
-  /// Adaptive exit threshold (see sli_adaptive). Must be < hot_min_contended
-  /// for the hysteresis band to exist.
+  /// kAdaptive's exit threshold, read in no other mode. Must be below
+  /// hot_min_contended for the hysteresis band to exist: a head in between
+  /// keeps its state, so inheritance does not flap when a head hovers near
+  /// the trigger.
   uint32_t hot_exit_contended = 1;
-
-  /// Keep page-and-higher lock heads alive when their queues drain so the
-  /// hot-lock history survives between transactions. Row heads are always
-  /// reclaimed eagerly (they are too numerous to retain).
-  bool retain_high_level_heads = true;
 
   /// Extra nanoseconds of work *per queued request* performed inside each
   /// latched lock-queue operation (acquire / upgrade / release). Models the
@@ -67,20 +84,6 @@ struct LockManagerOptions {
   /// and are exempt, exactly as in the paper. 0 disables the simulation
   /// (unit-test default).
   uint64_t sim_queue_work_ns = 0;
-
-  /// Master switch for speculative lock inheritance.
-  bool enable_sli = false;
-
-  // --- SLI eligibility criteria (paper §4.2); individually ablatable.
-  // Criterion 3 (shared mode) is not switchable: it is a correctness rule.
-  bool sli_require_high_level = true;  ///< criterion 1: page level or higher
-  bool sli_require_hot = true;         ///< criterion 2: latch contention seen
-  bool sli_require_no_waiters = true;  ///< criterion 4: nobody waiting
-  bool sli_require_parent = true;      ///< criterion 5: parent also eligible
-
-  /// §4.4 option 2: keep an unused inherited lock across this many commits
-  /// before discarding it (0 = paper's "do nothing" default).
-  uint32_t sli_hysteresis = 0;
 
   /// Backstop for lost wakeups / undetected deadlocks. Per-wait budgets are
   /// min(lock_timeout_us, the transaction's remaining deadline) when the
@@ -104,30 +107,9 @@ struct LockManagerStats {
   size_t lock_heads = 0;
 };
 
-/// The SLI policy presets the contention benches ablate. kOn is the paper
-/// default (all eligibility criteria active, window-based heat test);
-/// kAlwaysInherit drops criterion 2 (every eligible head inherits regardless
-/// of heat); kAdaptive replaces the stateless window test with the per-head
-/// enter/exit state machine (see LockManagerOptions::sli_adaptive).
-enum class SliMode : uint8_t { kOff, kOn, kAlwaysInherit, kAdaptive };
-
-inline const char* SliModeName(SliMode mode) {
-  switch (mode) {
-    case SliMode::kOff: return "sli_off";
-    case SliMode::kOn: return "sli_on";
-    case SliMode::kAlwaysInherit: return "always_on";
-    case SliMode::kAdaptive: return "adaptive";
-  }
-  return "?";
-}
-
-/// Apply a policy preset on top of existing options (leaves thresholds and
-/// non-SLI knobs untouched). Safe only between runs, like mutable_options().
-inline void ApplySliMode(LockManagerOptions& o, SliMode mode) {
-  o.enable_sli = mode != SliMode::kOff;
-  o.sli_require_hot = mode != SliMode::kAlwaysInherit;
-  o.sli_adaptive = mode == SliMode::kAdaptive;
-}
+/// Select the SLI policy, leaving thresholds and non-SLI knobs untouched.
+/// Safe only between runs, like mutable_options().
+inline void ApplySliMode(LockManagerOptions& o, SliMode mode) { o.sli = mode; }
 
 /// Clients to wake, collected while a head latch is held and drained after
 /// it is released so waiters never wake up into a still-latched head (and

@@ -47,7 +47,6 @@ struct LockRequest {
   std::atomic<RequestStatus> status{RequestStatus::kWaiting};
   LockMode mode = LockMode::kNL;        ///< granted mode
   LockMode convert_to = LockMode::kNL;  ///< target mode while kConverting
-  uint8_t sli_miss_count = 0;  ///< commits survived unused (hysteresis option)
 
   /// Owning transaction's lock state; nullptr while the request sits in an
   /// agent's inheritance list between transactions.
@@ -69,7 +68,6 @@ struct LockRequest {
     status.store(RequestStatus::kWaiting, std::memory_order_relaxed);
     mode = LockMode::kNL;
     convert_to = LockMode::kNL;
-    sli_miss_count = 0;
     client.store(nullptr, std::memory_order_relaxed);
     head = nullptr;
     q_next = q_prev = nullptr;

@@ -1,17 +1,16 @@
 // Log devices: the durable end of the WAL. The flusher hands contiguous,
 // LSN-ordered byte ranges to LogOptions::flush_sink; a LogDevice is the
-// object behind that seam that actually persists them. Three
+// object behind that seam that actually persists them. Two
 // implementations:
 //
-//   * FileLogDevice — a single append-only file (pwrite at the LSN offset +
-//     optional fsync per flush). Survives the process; Database::Recover
-//     reads it back.
-//   * SegmentedLogDevice — fixed-size segment files under a path prefix,
-//     rotated write-new-then-rename with parent-directory fsync, organized
-//     into GENERATIONS (one per process lifetime of the log stream).
+//   * SegmentedLogDevice — the on-disk log: fixed-size segment files under
+//     a path prefix, rotated write-new-then-rename with parent-directory
+//     fsync, organized into GENERATIONS (one per process lifetime of the
+//     log stream).
 //     Recovery stitches a generation's segments by header metadata, and
 //     completed checkpoints let old segments be recycled (unlinked), so
 //     log storage is bounded by checkpoint cadence instead of history.
+//     Survives the process; Database::Recover reads it back.
 //   * InMemoryLogDevice — a deterministic byte vector with crash injection
 //     (stop accepting bytes at an arbitrary point, emulating power loss mid
 //     device write). The recovery test harness and benches build on it.
@@ -97,71 +96,23 @@ class InMemoryLogDevice : public LogDevice {
   bool crashed_ = false;
 };
 
-/// Append-only single-file device. Writes land at their LSN offset (the
-/// file is the log stream, byte for byte), fsync'd per flush by default so
-/// the durability contract holds across a host crash, not just a process
-/// exit. `fsync_every_n_flushes` coalesces that cost: 1 = every flush
-/// (default contract), N = every Nth (bytes between syncs survive a process
-/// crash via the page cache but not a host crash — a measured trade-off,
-/// see LogOptions::fsync_every_n_flushes), 0 = never. Any unsynced tail is
-/// still fsync'd on clean shutdown (destructor); if THAT sync fails the
-/// destructor aborts the process — it has no status channel, and returning
-/// normally would silently break the durability contract.
-///
-/// Truncation is deferred to the FIRST append: opening the device does not
-/// destroy an existing log at `path`, so the natural restart-in-place flow
-/// — construct the Database with the same log_path, Recover(log_path),
-/// then serve traffic — reads the old log back before the new log (which
-/// starts with the recovery snapshot, see Database::RecoverFromStream)
-/// overwrites it. Truncating before the first write is required for
-/// correctness: a new log shorter than the old file would otherwise leave
-/// a stale tail of CRC-valid records at their original offsets, which a
-/// later recovery would happily resurrect.
-class FileLogDevice : public LogDevice {
- public:
-  /// Opens (creates if absent) `path` without truncating; see class note.
-  static Status Open(const std::string& path, uint32_t fsync_every_n_flushes,
-                     std::unique_ptr<FileLogDevice>* out);
-  ~FileLogDevice() override;
-
-  FileLogDevice(const FileLogDevice&) = delete;
-  FileLogDevice& operator=(const FileLogDevice&) = delete;
-
-  Status Append(const uint8_t* data, size_t len, Lsn lsn) override;
-  uint64_t DurableBytes() const override;
-  Status ReadAll(std::vector<uint8_t>* out) const override;
-
-  /// True once a reported I/O failure permanently disabled the device.
-  bool poisoned() const { return poisoned_.load(std::memory_order_acquire); }
-
-  /// Read an existing log file (recovery path; does not truncate).
-  static Status ReadFile(const std::string& path, std::vector<uint8_t>* out);
-
- private:
-  FileLogDevice(int fd, std::string path, uint32_t fsync_every_n_flushes)
-      : fd_(fd),
-        path_(std::move(path)),
-        fsync_every_n_(fsync_every_n_flushes) {}
-
-  Status Poison(const char* what);
-
-  int fd_;
-  std::string path_;
-  uint32_t fsync_every_n_;            ///< 0 = never, 1 = every flush
-  uint32_t flushes_since_sync_ = 0;   ///< flusher-thread only
-  bool truncated_ = false;  ///< flusher-thread only (single writer)
-  std::atomic<uint64_t> written_{0};  ///< advanced by the flusher thread
-  std::atomic<bool> poisoned_{false};
-};
-
 /// Rotating fixed-size segment files: `<prefix>.gen<G>.seg<N>`, each
 /// opening with a 64-byte header naming its generation, segment number,
 /// and payload capacity. Log offset L of generation G lives in segment
 /// L / payload_capacity at file offset 64 + L % payload_capacity.
 ///
-/// Generations replace FileLogDevice's deferred truncation: each process
-/// lifetime writes a FRESH generation (highest existing + 1), created
-/// lazily at the first append, so recovery can read the previous
+/// Writes land at their LSN offset within the segment, fsync'd per flush by
+/// default so the durability contract holds across a host crash, not just a
+/// process exit. `fsync_every_n_flushes` coalesces that cost: 1 = every
+/// flush (default contract), N = every Nth (bytes between syncs survive a
+/// process crash via the page cache but not a host crash — a measured
+/// trade-off, see LogOptions::fsync_every_n_flushes), 0 = never. Any
+/// unsynced tail is still fsync'd on clean shutdown (destructor); if THAT
+/// sync fails the destructor aborts the process — it has no status channel,
+/// and returning normally would silently break the durability contract.
+///
+/// Each process lifetime writes a FRESH generation (highest existing + 1),
+/// created lazily at the first append, so recovery can read the previous
 /// generation's stream before a single new byte lands. A generation that
 /// succeeds an existing one is born TENTATIVE (header flag): until
 /// MarkGenerationAuthoritative() clears the flag — which Database does

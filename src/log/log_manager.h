@@ -54,20 +54,13 @@ struct LogOptions {
   /// quantum even when one writer is preempted mid-fill.
   size_t reservation_slots = 0;
 
-  /// AppendBatch wraps runs of >= 2 consecutive records whose wire size
-  /// (header + payload) is at most this bound in a kBatchSeal envelope:
-  /// one CRC seals the whole run instead of one per record. 0 disables
-  /// envelopes (every batched record is sealed individually).
-  uint32_t batch_seal_max_record_bytes = kBatchSealMaxRecordBytes;
-
-  /// fsync cadence for a FileLogDevice attached via DatabaseOptions:
+  /// fsync cadence for the SegmentedLogDevice attached via DatabaseOptions:
   /// 1 = every flush (default, the strict host-crash durability contract),
   /// N = every Nth flush (coalesced fsync — bytes between syncs survive a
   /// process crash via the page cache but not a host crash; the knob
-  /// exists to measure that cost on a real disk), 0 = never fsync (same
-  /// effect as DatabaseOptions::log_sync_each_flush = false — page-cache
-  /// durability only). For N >= 1 the device still syncs any unsynced
-  /// tail on clean shutdown.
+  /// exists to measure that cost on a real disk), 0 = never fsync
+  /// (page-cache durability only). For N >= 1 the device still syncs any
+  /// unsynced tail on clean shutdown.
   uint32_t fsync_every_n_flushes = 1;
 
   /// Device-write hook: the flusher calls it for each contiguous byte range
@@ -106,8 +99,9 @@ class LogManager {
   /// ONE ticket fetch-add and one publish-slot handoff (it may split into
   /// a few reservations only when it exceeds half the ring), with each
   /// record's seal — lsn patch + CRC — folded into the ring copy loop.
-  /// Runs of small records are wrapped in kBatchSeal envelopes (see
-  /// LogOptions::batch_seal_max_record_bytes). Record order within the
+  /// Runs of >= 2 consecutive records of at most kBatchSealMaxRecordBytes
+  /// wire size each are wrapped in kBatchSeal envelopes: one CRC seals the
+  /// whole run instead of one per record. Record order within the
   /// batch is preserved; an empty staging buffer publishes nothing and
   /// returns appended_lsn().
   Lsn AppendBatch(LogStagingBuffer* staging);

@@ -18,8 +18,8 @@
 namespace slidb {
 namespace {
 
-/// Per-test scratch prefix; removes every segment/tmp/plain file it might
-/// have produced on destruction (best-effort, tests also clean as they go).
+/// Per-test scratch prefix; removes every segment/tmp file it might have
+/// produced on destruction (best-effort, tests also clean as they go).
 struct ScratchLog {
   std::string prefix;
 
@@ -27,7 +27,6 @@ struct ScratchLog {
   ~ScratchLog() { Cleanup(); }
 
   void Cleanup() {
-    std::remove(prefix.c_str());
     for (uint64_t gen = 0; gen < 8; ++gen) {
       for (uint64_t seg = 0; seg < 64; ++seg) {
         char buf[64];
@@ -206,33 +205,12 @@ TEST(SegmentedDeviceTest, AuthorityMarkWithoutAppendsMaterializesGeneration) {
   EXPECT_EQ(stream, data);
 }
 
-TEST(SegmentedDeviceTest, SupersedesLegacySingleFileLog) {
-  // Upgrading a deployment from FileLogDevice to segments: the old plain
-  // file makes the new generation tentative, and the authority mark
-  // removes it.
-  ScratchLog fs("slidb_segdev_legacy.log");
-  {
-    std::unique_ptr<FileLogDevice> legacy;
-    ASSERT_TRUE(FileLogDevice::Open(fs.prefix, 1, &legacy).ok());
-    const std::vector<uint8_t> bytes = Pattern(40, 5);
-    ASSERT_TRUE(legacy->Append(bytes.data(), bytes.size(), 0).ok());
-  }
-  std::unique_ptr<SegmentedLogDevice> dev;
-  ASSERT_TRUE(SegmentedLogDevice::Open(fs.prefix, 1, 256, &dev).ok());
-  const std::vector<uint8_t> data = Pattern(32, 9);
-  ASSERT_TRUE(dev->Append(data.data(), data.size(), 0).ok());
-  ASSERT_TRUE(dev->MarkGenerationAuthoritative().ok());
-  FILE* f = std::fopen(fs.prefix.c_str(), "rb");
-  EXPECT_EQ(f, nullptr) << "legacy log should be unlinked";
-  if (f != nullptr) std::fclose(f);
-}
-
 // ---- fail-stop on fsync failure ---------------------------------------------
 
-TEST(FailStopTest, FileDeviceFsyncFailurePoisonsAndReportsError) {
-  ScratchLog fs("slidb_failstop_file.log");
-  std::unique_ptr<FileLogDevice> dev;
-  ASSERT_TRUE(FileLogDevice::Open(fs.prefix, /*fsync_every_n=*/1, &dev).ok());
+TEST(FailStopTest, SegmentedDeviceFsyncFailurePoisonsAndReportsError) {
+  ScratchLog fs("slidb_failstop_seg.log");
+  std::unique_ptr<SegmentedLogDevice> dev;
+  ASSERT_TRUE(SegmentedLogDevice::Open(fs.prefix, 1, 256, &dev).ok());
   const std::vector<uint8_t> data = Pattern(64, 1);
   ASSERT_TRUE(dev->Append(data.data(), data.size(), 0).ok());
   EXPECT_EQ(dev->DurableBytes(), 64u);
@@ -252,30 +230,15 @@ TEST(FailStopTest, FileDeviceFsyncFailurePoisonsAndReportsError) {
   EXPECT_TRUE(dev->Append(data.data(), data.size(), 128).IsIoError());
 }
 
-TEST(FailStopTest, SegmentedDeviceFsyncFailurePoisonsAndReportsError) {
-  ScratchLog fs("slidb_failstop_seg.log");
-  std::unique_ptr<SegmentedLogDevice> dev;
-  ASSERT_TRUE(SegmentedLogDevice::Open(fs.prefix, 1, 256, &dev).ok());
-  const std::vector<uint8_t> data = Pattern(64, 1);
-  ASSERT_TRUE(dev->Append(data.data(), data.size(), 0).ok());
-
-  SetLogSyncFailureInjection(1);
-  const Status st = dev->Append(data.data(), data.size(), 64);
-  SetLogSyncFailureInjection(0);
-  EXPECT_TRUE(st.IsIoError());
-  EXPECT_TRUE(dev->poisoned());
-  EXPECT_EQ(dev->DurableBytes(), 64u);
-  EXPECT_TRUE(dev->Append(data.data(), data.size(), 128).IsIoError());
-}
-
 TEST(FailStopDeathTest, DestructorTailSyncFailureAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   // Coalesced-fsync mode holds an unsynced tail at destruction. The
   // destructor has no status channel, so an UNREPORTED failure there must
   // abort rather than let the process exit believing the tail is durable.
   ScratchLog fs("slidb_failstop_dtor.log");
-  std::unique_ptr<FileLogDevice> dev;
-  ASSERT_TRUE(FileLogDevice::Open(fs.prefix, /*fsync_every_n=*/8, &dev).ok());
+  std::unique_ptr<SegmentedLogDevice> dev;
+  ASSERT_TRUE(
+      SegmentedLogDevice::Open(fs.prefix, /*fsync_every_n=*/8, 256, &dev).ok());
   const std::vector<uint8_t> data = Pattern(32, 2);
   ASSERT_TRUE(dev->Append(data.data(), data.size(), 0).ok());  // tail unsynced
   EXPECT_DEATH(

@@ -237,11 +237,36 @@ TEST(LogDeviceTest, InMemoryTornWriteInjection) {
   EXPECT_EQ(back.size(), 140u);
 }
 
-TEST(LogDeviceTest, FileDeviceRoundTrip) {
-  const std::string path = "slidb_file_device_test.log";
+/// Remove every segment/tmp file a log under `prefix` may have produced.
+void RemoveSegmentFiles(const std::string& prefix) {
+  for (uint64_t gen = 0; gen < 8; ++gen) {
+    for (uint64_t seg = 0; seg < 64; ++seg) {
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), ".gen%llu.seg%llu",
+                    static_cast<unsigned long long>(gen),
+                    static_cast<unsigned long long>(seg));
+      std::remove((prefix + buf).c_str());
+      std::remove((prefix + buf + ".tmp").c_str());
+    }
+  }
+}
+
+/// Stitch the newest authoritative generation under `prefix` back.
+std::vector<uint8_t> ReadSegmentedLog(const std::string& prefix) {
+  std::vector<uint8_t> stream;
+  Lsn base = 0;
+  EXPECT_TRUE(SegmentedLogDevice::ReadLog(prefix, &stream, &base).ok());
+  EXPECT_EQ(base, 0u);
+  return stream;
+}
+
+TEST(LogDeviceTest, SegmentedDeviceRoundTrip) {
+  const std::string path = "slidb_segdev_roundtrip.log";
+  RemoveSegmentFiles(path);
   {
-    std::unique_ptr<FileLogDevice> dev;
-    ASSERT_TRUE(FileLogDevice::Open(path, /*fsync_every_n_flushes=*/1, &dev)
+    std::unique_ptr<SegmentedLogDevice> dev;
+    ASSERT_TRUE(SegmentedLogDevice::Open(path, /*fsync_every_n_flushes=*/1,
+                                         /*segment_bytes=*/1024, &dev)
                     .ok());
     std::vector<uint8_t> a(64), b(32);
     for (size_t i = 0; i < a.size(); ++i) a[i] = static_cast<uint8_t>(i);
@@ -255,21 +280,21 @@ TEST(LogDeviceTest, FileDeviceRoundTrip) {
     EXPECT_EQ(back[0], 0u);
     EXPECT_EQ(back[64], 200u);
   }
-  std::vector<uint8_t> reread;
-  ASSERT_TRUE(FileLogDevice::ReadFile(path, &reread).ok());
-  EXPECT_EQ(reread.size(), 96u);
-  std::remove(path.c_str());
+  EXPECT_EQ(ReadSegmentedLog(path).size(), 96u);
+  RemoveSegmentFiles(path);
 }
 
-TEST(LogDeviceTest, FileDeviceCoalescedFsyncRoundTrip) {
+TEST(LogDeviceTest, SegmentedDeviceCoalescedFsyncRoundTrip) {
   // fsync_every_n_flushes = 3: flushes 3 and 6 sync, 7 leaves an unsynced
   // tail that the destructor (clean shutdown) must still harden. The byte
   // stream and DurableBytes accounting are identical to per-flush fsync.
-  const std::string path = "slidb_file_device_coalesce.log";
+  const std::string path = "slidb_segdev_coalesce.log";
+  RemoveSegmentFiles(path);
   constexpr size_t kChunk = 48;
   {
-    std::unique_ptr<FileLogDevice> dev;
-    ASSERT_TRUE(FileLogDevice::Open(path, /*fsync_every_n_flushes=*/3, &dev)
+    std::unique_ptr<SegmentedLogDevice> dev;
+    ASSERT_TRUE(SegmentedLogDevice::Open(path, /*fsync_every_n_flushes=*/3,
+                                         /*segment_bytes=*/1024, &dev)
                     .ok());
     std::vector<uint8_t> chunk(kChunk);
     Lsn lsn = 0;
@@ -286,10 +311,8 @@ TEST(LogDeviceTest, FileDeviceCoalescedFsyncRoundTrip) {
     ASSERT_EQ(back.size(), 7 * kChunk);
     EXPECT_EQ(back[6 * kChunk], static_cast<uint8_t>(6 * 31));
   }
-  std::vector<uint8_t> reread;
-  ASSERT_TRUE(FileLogDevice::ReadFile(path, &reread).ok());
-  EXPECT_EQ(reread.size(), 7 * kChunk);
-  std::remove(path.c_str());
+  EXPECT_EQ(ReadSegmentedLog(path).size(), 7 * kChunk);
+  RemoveSegmentFiles(path);
 }
 
 // ---- recovery scan ----------------------------------------------------------
@@ -756,6 +779,7 @@ TEST(RecoveryFuzzTest, RandomHistoryCrashAtRandomFlushMatchesShadow) {
 
 TEST(RecoveryEngineTest, FileBackedDatabaseRecoversAndResumes) {
   const std::string path = "slidb_recovery_e2e.log";
+  RemoveSegmentFiles(path);
   Rid r1, r2;
   uint64_t committed_txns = 0;
   {
@@ -782,7 +806,7 @@ TEST(RecoveryEngineTest, FileBackedDatabaseRecoversAndResumes) {
     ASSERT_TRUE(db.IndexInsert(agent.get(), idx, 20, r2.ToU64()).ok());
     ASSERT_TRUE(db.Commit(agent.get()).ok());
     ++committed_txns;
-  }  // clean shutdown: all records durable in the file
+  }  // clean shutdown: all records durable in the log segments
 
   DatabaseOptions o = TestOptions();
   Database db(o);
@@ -812,16 +836,17 @@ TEST(RecoveryEngineTest, FileBackedDatabaseRecoversAndResumes) {
   Rid r3;
   ASSERT_TRUE(db.Insert(agent.get(), t, Bytes("post-rec"), &r3).ok());
   ASSERT_TRUE(db.Commit(agent.get()).ok());
-  std::remove(path.c_str());
+  RemoveSegmentFiles(path);
 }
 
 TEST(RecoveryEngineTest, RestartInPlaceSurvivesASecondCrash) {
   // The operator's natural restart flow: reuse the SAME log_path for the
   // recovered database. The device must not clobber the old log before
-  // Recover() reads it (truncation is deferred to the first append), and
-  // recovery must anchor the new log with an opening checkpoint — otherwise
-  // a second crash would lose everything from before the first one.
+  // Recover() reads it (the new generation is created at the first append),
+  // and recovery must anchor the new log with an opening checkpoint —
+  // otherwise a second crash would lose everything from before the first.
   const std::string path = "slidb_restart_in_place.log";
+  RemoveSegmentFiles(path);
   Rid r1;
   {  // generation 1: one committed row, then "crash" (teardown).
     DatabaseOptions o = TestOptions();
@@ -850,6 +875,21 @@ TEST(RecoveryEngineTest, RestartInPlaceSurvivesASecondCrash) {
     ASSERT_TRUE(db.Insert(agent.get(), t, Bytes("gen-two!"), &r2).ok());
     ASSERT_TRUE(db.Commit(agent.get()).ok());
   }
+  // Default options write segment files: generation 1 took over from
+  // generation 0 once recovery's opening checkpoint was durable.
+  {
+    uint64_t gen = kLsnNone;
+    std::vector<uint8_t> stream;
+    Lsn base = 0;
+    ASSERT_TRUE(SegmentedLogDevice::ReadLog(path, &stream, &base, &gen).ok());
+    EXPECT_EQ(gen, 1u);
+    FILE* f = std::fopen((path + ".gen1.seg0").c_str(), "rb");
+    EXPECT_NE(f, nullptr);
+    if (f != nullptr) std::fclose(f);
+    f = std::fopen((path + ".gen0.seg0").c_str(), "rb");
+    EXPECT_EQ(f, nullptr) << "superseded generation should be unlinked";
+    if (f != nullptr) std::fclose(f);
+  }
   {  // generation 3: BOTH generations' rows must recover from the new log.
     DatabaseOptions o = TestOptions();
     Database db(o);
@@ -869,7 +909,7 @@ TEST(RecoveryEngineTest, RestartInPlaceSurvivesASecondCrash) {
     EXPECT_EQ(std::memcmp(buf, "gen-two!", 8), 0);
     ASSERT_TRUE(db.Commit(agent.get()).ok());
   }
-  std::remove(path.c_str());
+  RemoveSegmentFiles(path);
 }
 
 TEST(RecoveryEngineTest, HashIndexEntriesReplay) {
@@ -1574,20 +1614,6 @@ TEST(CheckpointSweepTest, ActiveTxnTableWidensRedoAcrossEveryCut) {
 }
 
 // ---- segmented log: sweep across segment boundaries -------------------------
-
-void RemoveSegmentFiles(const std::string& prefix) {
-  std::remove(prefix.c_str());
-  for (uint64_t gen = 0; gen < 8; ++gen) {
-    for (uint64_t seg = 0; seg < 64; ++seg) {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), ".gen%llu.seg%llu",
-                    static_cast<unsigned long long>(gen),
-                    static_cast<unsigned long long>(seg));
-      std::remove((prefix + buf).c_str());
-      std::remove((prefix + buf + ".tmp").c_str());
-    }
-  }
-}
 
 TEST(SegmentedSweepTest, TruncationAtEveryByteAcrossSegmentBoundaries) {
   // The same acceptance sweep over a stream written through a REAL

@@ -1,6 +1,7 @@
 // Speculative Lock Inheritance protocol tests (paper Section 4): the five
 // eligibility criteria, inherit/reclaim/invalidate/discard outcomes, the
-// CAS arbitration, orphan handling, hysteresis, and concurrency invariants.
+// CAS arbitration, orphan handling, the SliMode policies, and concurrency
+// invariants.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,7 +18,7 @@ namespace {
 
 LockManagerOptions SliOptions() {
   LockManagerOptions o;
-  o.enable_sli = true;
+  o.sli = SliMode::kOn;
   o.deadlock_interval_us = 200;
   o.lock_timeout_us = 2'000'000;
   return o;
@@ -224,6 +225,22 @@ TEST(SliTest, Criterion2ColdLocksNotInherited) {
     a.Commit();
   }
   EXPECT_EQ(counters.Get(Counter::kSliInherited), 0u);
+
+  // kAlwaysInherit drops criterion 2 and nothing else: a cold chain under a
+  // row S lock inherits every level except the row (criterion 1).
+  LockManagerOptions o = SliOptions();
+  o.sli = SliMode::kAlwaysInherit;
+  LockManager always(o);
+  Agent b(&always, 1);
+  b.Begin(2);
+  ASSERT_TRUE(
+      always.Lock(&b.client, LockId::Row(0, 1, 2, 3), LockMode::kS).ok());
+  CounterSet cold;
+  {
+    ScopedCounterSet routed(&cold);
+    b.Commit();
+  }
+  EXPECT_EQ(cold.Get(Counter::kSliInherited), 3u);  // db, table, page
 }
 
 TEST(SliTest, Criterion3ExclusiveModesNotInherited) {
@@ -298,51 +315,6 @@ TEST(SliTest, Criterion5ParentIneligibleBlocksChild) {
        r = r->agent_next) {
     EXPECT_EQ(r->head->id, LockId::Database(0));
   }
-}
-
-TEST(SliTest, CriteriaAblationSwitchesWiden) {
-  // With hot + parent + level requirements off, even a cold row lock's
-  // whole chain gets inherited.
-  LockManagerOptions o = SliOptions();
-  o.sli_require_hot = false;
-  o.sli_require_high_level = false;
-  o.sli_require_parent = false;
-  LockManager lm(o);
-  Agent a(&lm, 0);
-  a.Begin(1);
-  ASSERT_TRUE(lm.Lock(&a.client, LockId::Row(0, 1, 2, 3), LockMode::kS).ok());
-  CounterSet counters;
-  {
-    ScopedCounterSet routed(&counters);
-    a.Commit();
-  }
-  EXPECT_EQ(counters.Get(Counter::kSliInherited), 4u);  // db,table,page,row
-}
-
-TEST(SliTest, HysteresisKeepsUnusedLocksForKCommits) {
-  LockManagerOptions o = SliOptions();
-  o.sli_hysteresis = 2;
-  LockManager lm(o);
-  Agent a(&lm, 0);
-
-  a.Begin(1);
-  ASSERT_TRUE(lm.Lock(&a.client, LockId::Table(0, 1), LockMode::kS).ok());
-  ForceHot(lm, a.client, LockId::Table(0, 1));
-  ForceHot(lm, a.client, LockId::Database(0));
-  a.Commit();
-  ASSERT_EQ(a.sli.inherited_count(), 2u);
-
-  // Two empty transactions: momentum keeps the inheritance alive.
-  a.Begin(2);
-  a.Commit();
-  EXPECT_EQ(a.sli.inherited_count(), 2u);
-  a.Begin(3);
-  a.Commit();
-  EXPECT_EQ(a.sli.inherited_count(), 2u);
-  // Third miss exceeds the hysteresis budget.
-  a.Begin(4);
-  a.Commit();
-  EXPECT_EQ(a.sli.inherited_count(), 0u);
 }
 
 TEST(SliTest, AbortDoesNotInherit) {
@@ -467,7 +439,7 @@ TEST(SliTest, ConcurrentAgentsMutualExclusionPreserved) {
   // The serializability smoke test with SLI on: X row updates never lost,
   // while table/database intent locks flow between transactions.
   LockManagerOptions o = SliOptions();
-  o.sli_require_hot = false;  // inherit aggressively to stress the protocol
+  o.sli = SliMode::kAlwaysInherit;  // inherit aggressively to stress it
   LockManager lm(o);
 
   constexpr int kAgents = 4;
@@ -504,7 +476,7 @@ LockHead* HeadOf(LockClient& c, const LockId& id) {
 
 TEST(SliTest, AdaptiveEnablesOnHeatAndCoolsDown) {
   LockManagerOptions o = SliOptions();
-  o.sli_adaptive = true;
+  o.sli = SliMode::kAdaptive;
   o.hot_min_contended = 4;   // enter threshold
   o.hot_exit_contended = 1;  // exit threshold (hysteresis band 2..3)
   LockManager lm(o);
@@ -585,19 +557,12 @@ TEST(SliTest, AdaptiveEnablesOnHeatAndCoolsDown) {
 
 TEST(SliTest, ApplySliModePresets) {
   LockManagerOptions o;
-  ApplySliMode(o, SliMode::kOff);
-  EXPECT_FALSE(o.enable_sli);
-  ApplySliMode(o, SliMode::kOn);
-  EXPECT_TRUE(o.enable_sli);
-  EXPECT_TRUE(o.sli_require_hot);
-  EXPECT_FALSE(o.sli_adaptive);
-  ApplySliMode(o, SliMode::kAlwaysInherit);
-  EXPECT_TRUE(o.enable_sli);
-  EXPECT_FALSE(o.sli_require_hot);
-  ApplySliMode(o, SliMode::kAdaptive);
-  EXPECT_TRUE(o.enable_sli);
-  EXPECT_TRUE(o.sli_require_hot);
-  EXPECT_TRUE(o.sli_adaptive);
+  EXPECT_EQ(o.sli, SliMode::kOff);
+  for (const SliMode mode : {SliMode::kOn, SliMode::kAlwaysInherit,
+                             SliMode::kAdaptive, SliMode::kOff}) {
+    ApplySliMode(o, mode);
+    EXPECT_EQ(o.sli, mode);
+  }
   EXPECT_STREQ(SliModeName(SliMode::kAdaptive), "adaptive");
   EXPECT_STREQ(SliModeName(SliMode::kAlwaysInherit), "always_on");
 }
@@ -609,7 +574,7 @@ TEST(SliTest, AdaptiveConcurrentAgentsPreserveMutualExclusion) {
     GTEST_SKIP() << "needs >= 2 hardware threads";
   }
   LockManagerOptions o = SliOptions();
-  o.sli_adaptive = true;
+  o.sli = SliMode::kAdaptive;
   o.hot_min_contended = 2;
   o.hot_exit_contended = 0;
   LockManager lm(o);
@@ -655,7 +620,7 @@ TEST(SliTest, AdaptiveConcurrentAgentsPreserveMutualExclusion) {
 
 TEST(SliTest, SliDisabledInheritsNothing) {
   LockManagerOptions o = SliOptions();
-  o.enable_sli = false;
+  o.sli = SliMode::kOff;
   LockManager lm(o);
   Agent a(&lm, 0);
   a.Begin(1);

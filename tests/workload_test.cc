@@ -16,7 +16,7 @@ namespace {
 
 DatabaseOptions SmallDbOptions(bool sli) {
   DatabaseOptions o;
-  o.lock.enable_sli = sli;
+  o.lock.sli = sli ? SliMode::kOn : SliMode::kOff;
   o.lock.deadlock_interval_us = 500;
   o.lock.lock_timeout_us = 3'000'000;
   o.log.flush_interval_us = 100;
@@ -444,7 +444,7 @@ TEST(DriverTest, SliTogglesAcrossRuns) {
   const DriverResult base = RunWorkload(db, tm1, dopts);
   EXPECT_EQ(base.counters.Get(Counter::kSliInherited), 0u);
 
-  db.SetSliEnabled(true);
+  db.SetSliMode(SliMode::kOn);
   const DriverResult with_sli = RunWorkload(db, tm1, dopts);
   EXPECT_GT(with_sli.commits, 0u);
   // On a contended 2-core box the hot tracker may or may not trip within a
