@@ -239,23 +239,20 @@ struct FsyncSample {
 
 /// Real-disk append throughput through a SegmentedLogDevice at the given
 /// fsync cadence. Each append models one flusher pass (~4 KiB of log). The
-/// segment holds every appended byte, so no rotation (and its extra fsync)
-/// lands in the timed loop.
+/// timed region spans open to close: the first append creates the segment
+/// (header fsync, rename, directory fsync), and the segment holds every
+/// appended byte, so no rotation (and its extra fsync) lands in it.
 FsyncSample MeasureFsyncCadence(uint32_t cadence, uint64_t appends) {
   const std::string path = "slidb_bench_fsync.log";
   const std::string seg0 = path + ".gen0.seg0";
   std::remove(seg0.c_str());
   constexpr size_t kChunk = 4096;
   std::vector<uint8_t> buf(kChunk, 0xA5);
+  const uint64_t start = NowMicros();
   std::unique_ptr<SegmentedLogDevice> dev;
-  if (!SegmentedLogDevice::Open(path, cadence, (appends + 1) * kChunk, &dev)
-           .ok()) {
+  if (!SegmentedLogDevice::Open(path, cadence, appends * kChunk, &dev).ok()) {
     std::abort();
   }
-  // An empty append creates seg0 (header fsync, rename, directory fsync)
-  // before the clock starts.
-  if (!dev->Append(buf.data(), 0, 0).ok()) std::abort();
-  const uint64_t start = NowMicros();
   Lsn lsn = 0;
   for (uint64_t i = 0; i < appends; ++i) {
     if (!dev->Append(buf.data(), buf.size(), lsn).ok()) std::abort();

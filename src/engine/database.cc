@@ -125,6 +125,16 @@ Transaction* Database::Begin(AgentContext* agent) {
 }
 
 Status Database::Commit(AgentContext* agent) {
+  if (log_device_ != nullptr && log_device_->tentative()) {
+    // The log at log_path held a previous log that Recover() has not taken
+    // over: this run's generation is still tentative, so every later
+    // recovery would ignore a commit written to it. Refuse rather than
+    // acknowledge a commit that cannot survive a restart.
+    txn_manager_->Abort(agent);
+    FinishAdmission(agent);
+    return Status::InvalidArgument(
+        "log_path holds an unrecovered log; call Recover() first");
+  }
   const Status st = txn_manager_->Commit(agent);
   FinishAdmission(agent);
   return st;

@@ -105,7 +105,10 @@ class Database {
   // Until that checkpoint is durable the new log generation stays
   // tentative and the old one stays the source of truth
   // (SegmentedLogDevice::MarkGenerationAuthoritative), so a crash during
-  // recovery loses nothing.
+  // recovery loses nothing. Until Recover() has made the new generation
+  // authoritative, Commit() aborts the transaction and returns
+  // InvalidArgument: a commit written to a tentative generation would be
+  // acknowledged and then ignored by the next recovery.
 
   /// Recover from the durable log written via DatabaseOptions::log_path
   /// (its newest authoritative segment generation).

@@ -522,10 +522,10 @@ bool LockManager::EligibleForInheritance(
 
   bool ok = true;
   LockHead* h = r->head;
-  // Criterion 3 (correctness): shared-class mode only.
+  // Criterion 3 (correctness): shared-class mode only, for the request and
+  // each parent. Criterion 1 (page level or higher) is ReleaseAll's filter;
+  // parents are never rows.
   if (!IsHeritableMode(r->mode)) ok = false;
-  // Criterion 1: page level or higher.
-  if (ok && h->id.level == LockLevel::kRow) ok = false;
   // Criterion 2: the lock is hot. kAlwaysInherit drops it; kAdaptive swaps
   // the stateless window test for the per-head enter/exit state machine,
   // counting transitions so the benches can watch the policy switch per head.
@@ -633,12 +633,10 @@ void LockManager::ReleaseAll(LockClient* c, AgentSliState* sli,
     r->txn_next = nullptr;
 
     bool inherit = false;
-    // Cheap rejections first, keeping row locks (the overwhelming majority
-    // in scan-heavy transactions) away from the memoized parent check.
-    const bool worth_considering =
-        sli_active && IsHeritableMode(r->mode) &&
-        r->head->id.level != LockLevel::kRow;
-    if (worth_considering) {
+    // Criterion 1 (page level or higher) first, keeping row locks (the
+    // overwhelming majority in scan-heavy transactions) away from the
+    // memoized parent check.
+    if (sli_active && r->head->id.level != LockLevel::kRow) {
       ScopedComponent sli_comp(Component::kSli);
       inherit = EligibleForInheritance(c, r, &memo, 0);
       if (inherit) CountEvent(Counter::kSliEligible);

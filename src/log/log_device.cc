@@ -254,7 +254,7 @@ Status SegmentedLogDevice::Open(const std::string& prefix,
   dev->write_gen_ = ls.gens.empty() ? 0 : max_gen + 1;
   // A generation that succeeds a prior log is tentative until the
   // recovered state provably lives in it (MarkGenerationAuthoritative).
-  dev->tentative_ = !ls.gens.empty();
+  dev->tentative_.store(!ls.gens.empty(), std::memory_order_release);
   *out = std::move(dev);
   return Status::OK();
 }
@@ -309,7 +309,7 @@ Status SegmentedLogDevice::OpenSegment(uint64_t seg_no) {
   hdr.generation = write_gen_;
   hdr.seg_no = seg_no;
   hdr.seg_payload = seg_payload_;
-  hdr.flags = (tentative_ && seg_no == 0) ? kSegFlagTentative : 0;
+  hdr.flags = (seg_no == 0 && tentative()) ? kSegFlagTentative : 0;
   size_t done = 0;
   const uint8_t* bytes = reinterpret_cast<const uint8_t*>(&hdr);
   while (done < sizeof(hdr)) {
@@ -453,7 +453,7 @@ void SegmentedLogDevice::RecycleBelow(Lsn lsn) {
   // durable, the previous generation is still the source of truth and this
   // one may be discarded wholesale — deleting ITS segments early would
   // just complicate the fallback story.
-  if (!prepared_ || tentative_) return;
+  if (!prepared_ || tentative()) return;
   const uint64_t limit = std::min(lsn / seg_payload_, cur_seg_);
   std::lock_guard<std::mutex> g(mu_);
   if (limit <= base_seg_) return;
@@ -488,7 +488,7 @@ void SegmentedLogDevice::RecycleBelow(Lsn lsn) {
 }
 
 Status SegmentedLogDevice::MarkGenerationAuthoritative() {
-  if (!tentative_) return Status::OK();
+  if (!tentative()) return Status::OK();
   if (poisoned()) return Status::IoError("log device poisoned: " + prefix_);
   // Nothing appended yet (the previous generation was empty or fully torn,
   // so recovery had nothing to re-anchor): force seg0 into existence so the
@@ -512,7 +512,7 @@ Status SegmentedLogDevice::MarkGenerationAuthoritative() {
     return Poison("persist authority mark");
   }
   ::close(fd);
-  tentative_ = false;
+  tentative_.store(false, std::memory_order_release);
   SegmentListing ls;
   SLIDB_RETURN_NOT_OK(ListSegments(prefix_, &ls));
   for (const auto& [gen, segs] : ls.gens) {

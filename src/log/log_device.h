@@ -119,7 +119,9 @@ class InMemoryLogDevice : public LogDevice {
 /// after recovery's opening checkpoint is durable — a later recovery
 /// ignores it and falls back to the newest authoritative generation. That
 /// closes the crash-during-recovery window: the old log stays the source
-/// of truth until the new one provably carries the recovered state.
+/// of truth until the new one provably carries the recovered state. It
+/// also means nothing written to a tentative generation survives a
+/// restart, so Database::Commit refuses while tentative() holds.
 ///
 /// Segment creation is write-new-then-rename (header written and fsync'd
 /// into a temp file, rename into place, parent directory fsync'd), so a
@@ -155,6 +157,9 @@ class SegmentedLogDevice : public LogDevice {
 
   bool poisoned() const { return poisoned_.load(std::memory_order_acquire); }
   uint64_t write_generation() const { return write_gen_; }
+  /// True while the write generation succeeds an existing log and is not
+  /// yet authoritative: recovery ignores everything written to it.
+  bool tentative() const { return tentative_.load(std::memory_order_acquire); }
 
   /// Read the newest authoritative generation's stitched stream (for
   /// recovery, before any new writes). `*base_lsn` is the offset of the
@@ -185,7 +190,7 @@ class SegmentedLogDevice : public LogDevice {
   const uint64_t seg_payload_;
 
   uint64_t write_gen_ = 0;      ///< generation this device appends to
-  bool tentative_ = false;      ///< write gen succeeds an existing one
+  std::atomic<bool> tentative_{false};  ///< see tentative()
   bool prepared_ = false;       ///< flusher-thread only (single writer)
   int cur_fd_ = -1;             ///< current write segment
   uint64_t cur_seg_ = 0;

@@ -912,6 +912,73 @@ TEST(RecoveryEngineTest, RestartInPlaceSurvivesASecondCrash) {
   RemoveSegmentFiles(path);
 }
 
+TEST(RecoveryEngineTest, CommitRefusedUntilRecoverTakesOverAnExistingLog) {
+  // Opening a database on a log_path that already holds a log and skipping
+  // Recover() writes a tentative generation that every later recovery
+  // ignores. Its commits must be refused, not acknowledged and then lost.
+  const std::string path = "slidb_skip_recover.log";
+  RemoveSegmentFiles(path);
+  Rid r1;
+  {  // first run: one committed row.
+    DatabaseOptions o = TestOptions();
+    o.log_path = path;
+    Database db(o);
+    const TableId t = db.CreateTable("t");
+    auto agent = db.CreateAgent();
+    db.Begin(agent.get());
+    ASSERT_TRUE(db.Insert(agent.get(), t, Bytes("run-one!"), &r1).ok());
+    ASSERT_TRUE(db.Commit(agent.get()).ok());
+  }
+  {  // second run on the same log, without Recover(): commit is refused.
+    DatabaseOptions o = TestOptions();
+    o.log_path = path;
+    Database db(o);
+    const TableId t = db.CreateTable("t");
+    ASSERT_TRUE(static_cast<SegmentedLogDevice*>(db.log_device())->tentative());
+    auto agent = db.CreateAgent();
+    db.Begin(agent.get());
+    Rid r2;
+    ASSERT_TRUE(db.Insert(agent.get(), t, Bytes("run-two!"), &r2).ok());
+    const Status st = db.Commit(agent.get());
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_FALSE(agent->txn().active());
+    std::string rec;
+    EXPECT_TRUE(db.catalog().table(t).heap->Read(r2, &rec).IsNotFound())
+        << "refused commit must roll its writes back";
+  }
+  {  // third run recovers the first run's commit and commits again.
+    DatabaseOptions o = TestOptions();
+    o.log_path = path;
+    Database db(o);
+    const TableId t = db.CreateTable("t");
+    RecoveryReport report;
+    ASSERT_TRUE(db.Recover(path, &report).ok());
+    EXPECT_EQ(report.committed_txns, 1u);
+    EXPECT_FALSE(
+        static_cast<SegmentedLogDevice*>(db.log_device())->tentative());
+    auto agent = db.CreateAgent();
+    db.Begin(agent.get());
+    char buf[8];
+    ASSERT_TRUE(db.Read(agent.get(), t, r1, buf, 8).ok());
+    EXPECT_EQ(std::memcmp(buf, "run-one!", 8), 0);
+    Rid r3;
+    ASSERT_TRUE(db.Insert(agent.get(), t, Bytes("run-3!!!"), &r3).ok());
+    ASSERT_TRUE(db.Commit(agent.get()).ok());
+  }
+  {  // the third run's commit is in the authoritative log.
+    DatabaseOptions o = TestOptions();
+    Database db(o);
+    db.CreateTable("t");
+    RecoveryReport report;
+    ASSERT_TRUE(db.Recover(path, &report).ok());
+    // The only commit record is run 3's; run 1's row arrives through the
+    // opening checkpoint the third run wrote.
+    EXPECT_EQ(report.committed_txns, 1u);
+    EXPECT_TRUE(report.checkpoint_anchored);
+  }
+  RemoveSegmentFiles(path);
+}
+
 TEST(RecoveryEngineTest, HashIndexEntriesReplay) {
   CrashSink sink;
   DatabaseOptions o = TestOptions();
