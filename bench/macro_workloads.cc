@@ -158,7 +158,7 @@ WorkloadSample RunWorkloadPoint(PaperWorkload& pw, const char* config,
   s.lock_waits = r.counters.Get(Counter::kLockWaits);
   s.early_release = r.counters.Get(Counter::kTxnEarlyRelease);
   s.resv_retries = r.counters.Get(Counter::kLogResvRetries);
-  s.gc_woken = r.counters.Get(Counter::kGroupCommitWaitersWoken);
+  s.gc_woken = r.counters.Get(Counter::kLogDurableWaits);
   s.spec_reads = r.counters.Get(Counter::kTxnSpecReads);
   s.deferred_acks = r.counters.Get(Counter::kTxnDeferredAcks);
   s.log_pct = ComputeBreakdown(r.profile).log_pct;

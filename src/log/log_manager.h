@@ -5,7 +5,10 @@
 // the ring, then publish the record through a per-slot "filled" watermark.
 // The flusher advances the contiguous-filled watermark over completed
 // records in LSN order, hardens [durable, watermark) (paying an optional
-// simulated device latency), and advances the durable LSN.
+// simulated device latency), and advances the durable LSN. The flusher is
+// event-driven: a parked commit starts the next flush as soon as the device
+// is free, and with no log work it blocks until a publish, a park,
+// backpressure or shutdown kicks it (KickFlusher).
 //
 // Durability waits: every wait — WaitDurable, a deadline-bounded commit, a
 // speculative commit — parks a DeferredAck (commit_dependency.h) on one
@@ -38,8 +41,12 @@ namespace slidb {
 
 struct LogOptions {
   size_t buffer_bytes = 8u << 20;
-  /// Flusher wake-up cadence. Shorter = lower commit latency, more
-  /// simulated I/Os.
+  /// Coalescing window for published bytes that no commit waits on: after
+  /// a flush, such bytes wait this long (plus up to the thread's timer
+  /// slack) for company before the next flush. A parked commit (or a
+  /// writer stalled on ring space) cuts the window short, so it delays a
+  /// durable wait only while an earlier writer is still filling the bytes
+  /// before the commit; an idle flusher flushes a fresh publish at once.
   uint64_t flush_interval_us = 50;
   /// Per-flush simulated device latency (the paper charges 6 ms per I/O for
   /// data pages; log devices are faster — default 0, configurable).
@@ -108,7 +115,10 @@ class LogManager {
 
   /// Block until everything up to `lsn` is durable (group commit): park a
   /// stack-local ack and wait for the flusher to settle it. Returns at
-  /// shutdown even if `lsn` never hardened.
+  /// shutdown even if `lsn` never hardened. A wait that parked counts
+  /// `log.durable_waits` and its park-to-settle time in
+  /// `log.durable_wait_ns`; an already-durable `lsn` returns without
+  /// reading the clock.
   void WaitDurable(Lsn lsn);
 
   /// Park `ack` — its `lsn` and `park_ns` already filled by the caller — on
@@ -121,8 +131,8 @@ class LogManager {
   bool ParkDeferred(DeferredAck* ack);
 
   /// Wait for a parked ack to settle, charging the blocked time to the log.
-  /// `deadline_ns == 0` waits untimed; otherwise the wait re-checks at
-  /// flush cadence and returns false once the absolute deadline (NowNanos
+  /// `deadline_ns == 0` waits untimed; otherwise the wait re-checks every
+  /// `flush_interval_us` and returns false once the absolute deadline (NowNanos
   /// clock) passes, leaving the ack parked — only a node whose lifetime the
   /// caller does not end (a DeferredAckRing slot) may be abandoned so.
   bool AwaitDeferred(const DeferredAck& ack, uint64_t deadline_ns);
@@ -182,11 +192,30 @@ class LogManager {
   void CopyIntoRing(Lsn at, const void* src, size_t len);
   /// CopyIntoRing fused with a CRC32C extension over the copied bytes.
   uint32_t CopyIntoRingCrc(Lsn at, const void* src, size_t len, uint32_t crc);
+  /// Flusher states between flushes (see ChooseSleep). Publishers kick
+  /// only kIdle; parks and backpressure kick either sleep.
+  enum FlusherSleep : uint32_t { kAwake = 0, kCoalescing, kIdle };
+
   /// One backpressure pause: kick the flusher, yield, charge blocked time.
   void BackpressurePause();
+  /// Hand a filled record to the flusher: release its publish slot, and
+  /// kick the flusher if it sleeps idle (nothing else would wake it).
+  void PublishSlotFilled(PublishSlot& slot, uint64_t seq, Lsn end);
+  /// Wake the flusher out of either sleep. Never loses a wake-up: the flag
+  /// and the sleep state are a Dekker pair of seq_cst operations (the
+  /// flusher announces its sleep, then reads `kicked_`; a kicker sets
+  /// `kicked_`, then reads the sleep state), and the notify is sent under
+  /// `flush_mu_` only when the flusher sleeps.
+  void KickFlusher();
 
   void FlusherLoop();
   void FlushOnce();
+  /// Flusher sleep to take after a pass: none when an ack is parked and
+  /// published bytes wait (flush again at once), idle when nothing is
+  /// reserved beyond the durable LSN, the coalescing window otherwise.
+  /// Announces the sleep in `flusher_sleep_`, an idle one before its last
+  /// look at the reservations.
+  FlusherSleep ChooseSleep();
   /// Consume contiguously published slots and advance `watermark_`.
   /// Returns true iff it advanced. Caller must hold `publish_latch_`.
   bool AdvanceWatermarkLocked();
@@ -209,10 +238,13 @@ class LogManager {
   /// Publish slots, indexed by record seq & slot_mask_ (see PublishSlot).
   std::unique_ptr<PublishSlot[]> slots_;
 
-  std::atomic<uint64_t> ticket_{0};
-  std::atomic<Lsn> watermark_{0};
-  std::atomic<Lsn> durable_lsn_{0};
+  /// Written by every append; kept off the lines the flusher writes each
+  /// pass (watermark, durable LSN), which would otherwise take it away from
+  /// the writers on every flush.
+  alignas(kCacheLineSize) std::atomic<uint64_t> ticket_{0};
   std::atomic<uint64_t> records_{0};
+  alignas(kCacheLineSize) std::atomic<Lsn> watermark_{0};
+  std::atomic<Lsn> durable_lsn_{0};
   std::atomic<uint64_t> flushes_{0};
 
   /// Settlement queue: acks are pushed latch-free (Treiber) onto
@@ -225,9 +257,15 @@ class LogManager {
   SpinLatch publish_latch_;
   uint64_t next_seq_ = 0;  ///< protected by publish_latch_
 
+  /// A FlusherSleep, read by every publish: on its own line, away from
+  /// the lines the consumer and kickers write.
+  alignas(kCacheLineSize) std::atomic<uint32_t> flusher_sleep_{kAwake};
+  /// A wake-up the flusher has not seen.
+  alignas(kCacheLineSize) std::atomic<bool> kicked_{false};
+
   std::mutex flush_mu_;
   std::condition_variable flush_cv_;  // waking the flusher
-  bool stop_ = false;
+  bool stop_ = false;  ///< protected by flush_mu_
   std::thread flusher_;
 };
 

@@ -39,7 +39,8 @@ const char* CounterName(Counter c) {
     case Counter::kSliAdaptiveEnable: return "sli.adaptive_enable";
     case Counter::kSliAdaptiveCooldown: return "sli.adaptive_cooldown";
     case Counter::kLogResvRetries: return "log.resv_retries";
-    case Counter::kGroupCommitWaitersWoken: return "log.gc_waiters_woken";
+    case Counter::kLogDurableWaits: return "log.durable_waits";
+    case Counter::kLogDurableWaitNs: return "log.durable_wait_ns";
     case Counter::kLogChecksumFail: return "log.checksum_fail";
     case Counter::kLogBatchAppends: return "log.batch_appends";
     case Counter::kLogBatchRecords: return "log.batch_records";

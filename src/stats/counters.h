@@ -49,8 +49,10 @@ enum class Counter : uint32_t {
   // -- log / commit pipeline --
   kLogResvRetries,          ///< backpressure pauses in the log append path
                             ///< (ring space or publish-slot waits)
-  kGroupCommitWaitersWoken, ///< WaitDurable calls that parked an ack and
+  kLogDurableWaits,         ///< WaitDurable calls that parked an ack and
                             ///< were woken by its settlement
+  kLogDurableWaitNs,        ///< nanoseconds those parked WaitDurable acks
+                            ///< spent between park and settlement
   kLogChecksumFail,         ///< records rejected on read-back (CRC mismatch
                             ///< or torn tail)
   kLogBatchAppends,         ///< batch publications (one ring reservation

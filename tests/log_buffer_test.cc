@@ -9,6 +9,7 @@
 
 #include "src/buffer/buffer_pool.h"
 #include "src/log/log_manager.h"
+#include "src/util/time_util.h"
 
 namespace slidb {
 namespace {
@@ -131,6 +132,109 @@ TEST(LogTest, RingWrapAroundUnderPressure) {
   log.WaitDurable(lsn);
   EXPECT_GE(log.durable_lsn(), lsn);
   EXPECT_EQ(log.Stats().records, 201u);
+}
+
+// The flusher is event-driven: a coalescing window far longer than any
+// bound below must never show up in a durable wait or an idle flush.
+constexpr uint64_t kLongIntervalUs = 1'000'000;
+constexpr uint64_t kWellUnderIntervalNs = 200'000'000;  // 200 ms
+
+TEST(FlusherWakeTest, WaitDurableDoesNotWaitForTheInterval) {
+  LogOptions o;
+  o.flush_interval_us = kLongIntervalUs;
+  LogManager log(o);
+  const uint64_t t0 = NowNanos();
+  const Lsn lsn = log.Append(1, LogRecordType::kCommit, nullptr, 0);
+  log.WaitDurable(lsn);
+  EXPECT_LT(NowNanos() - t0, kWellUnderIntervalNs);
+  EXPECT_GE(log.durable_lsn(), lsn);
+}
+
+TEST(FlusherWakeTest, UnwaitedAppendWakesIdleFlusher) {
+  LogOptions o;
+  o.flush_interval_us = kLongIntervalUs;
+  LogManager log(o);
+  // Let the flusher reach its idle sleep: only the publish can wake it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const uint64_t t0 = NowNanos();
+  const Lsn lsn = log.Append(1, LogRecordType::kUpdate, "abc", 3);
+  while (log.durable_lsn() < lsn &&
+         NowNanos() - t0 < 4 * kLongIntervalUs * 1000) {
+    std::this_thread::yield();
+  }
+  EXPECT_LT(NowNanos() - t0, kWellUnderIntervalNs);
+  EXPECT_GE(log.durable_lsn(), lsn);
+}
+
+TEST(FlusherWakeTest, AckParkedDuringFlushSettlesInTheNextFlush) {
+  std::atomic<int> sink_calls{0};
+  std::atomic<bool> gate_open{false};
+  LogOptions o;
+  o.flush_interval_us = kLongIntervalUs;
+  // Hold the first flush inside the device until the test opens the gate.
+  o.flush_sink = [&](const uint8_t*, size_t, Lsn) {
+    if (sink_calls.fetch_add(1) == 0) {
+      while (!gate_open.load()) std::this_thread::yield();
+    }
+  };
+  LogManager log(o);
+  const Lsn first = log.Append(1, LogRecordType::kUpdate, "abc", 3);
+  while (sink_calls.load() == 0) std::this_thread::yield();
+
+  // Published and parked while the first flush is in flight.
+  const Lsn second = log.Append(2, LogRecordType::kCommit, nullptr, 0);
+  DeferredAckRing ring;
+  DeferredAck* ack = ring.Acquire();
+  ack->lsn = second;
+  ack->park_ns = NowNanos();
+  ASSERT_TRUE(log.ParkDeferred(ack));
+
+  const uint64_t released = NowNanos();
+  gate_open.store(true);
+  EXPECT_EQ(ack->AwaitSettled(), DeferredAck::kDurable);
+  EXPECT_LT(NowNanos() - released, kWellUnderIntervalNs);
+  EXPECT_GE(log.durable_lsn(), second);
+  EXPECT_GT(second, first);
+  // Exactly the held flush and the one that followed it.
+  EXPECT_EQ(log.Stats().flushes, 2u);
+  ring.Drain();
+}
+
+TEST(FlusherWakeTest, SimulatedDeviceTimeIsNeverShortened) {
+  // The exact timer removes the flusher's overshoot, never device time:
+  // one I/O in flight at a time, each lasting at least the configured
+  // latency, so sequential commits cost at least one I/O each.
+  constexpr uint64_t kIoUs = 200;
+  constexpr int kCommits = 20;
+  LogOptions o;
+  o.simulated_io_delay_us = kIoUs;
+  LogManager log(o);
+  const uint64_t t0 = NowNanos();
+  for (int i = 0; i < kCommits; ++i) {
+    log.WaitDurable(log.Append(1, LogRecordType::kCommit, nullptr, 0));
+  }
+  const uint64_t elapsed_ns = NowNanos() - t0;
+  const uint64_t flushes = log.Stats().flushes;
+  EXPECT_GE(flushes, uint64_t{kCommits});
+  EXPECT_GE(elapsed_ns, kCommits * kIoUs * 1000);
+  EXPECT_LE(flushes * kIoUs * 1000, elapsed_ns);
+}
+
+TEST(FlusherWakeTest, ParkedWaitDurableChargesItsWait) {
+  CounterSet counters;
+  ScopedCounterSet routed(&counters);
+  LogOptions o;
+  o.simulated_io_delay_us = 200;
+  LogManager log(o);
+  const Lsn lsn = log.Append(1, LogRecordType::kCommit, nullptr, 0);
+  log.WaitDurable(lsn);
+  EXPECT_EQ(counters.Get(Counter::kLogDurableWaits), 1u);
+  const uint64_t wait_ns = counters.Get(Counter::kLogDurableWaitNs);
+  EXPECT_GT(wait_ns, 0u);
+  // Already durable: the inline path neither parks nor charges.
+  log.WaitDurable(lsn);
+  EXPECT_EQ(counters.Get(Counter::kLogDurableWaits), 1u);
+  EXPECT_EQ(counters.Get(Counter::kLogDurableWaitNs), wait_ns);
 }
 
 TEST(VolumeTest, FilesAndPages) {

@@ -280,7 +280,7 @@ TEST(LogPipelineTest, ConsolidatedGroupCommitWakesWaiters) {
   EXPECT_LT(stats.flushes, stats.records);  // group commit still batches
   uint64_t woken = 0;
   for (const CounterSet& c : counters) {
-    woken += c.Get(Counter::kGroupCommitWaitersWoken);
+    woken += c.Get(Counter::kLogDurableWaits);
   }
   EXPECT_GT(woken, 0u);
   EXPECT_LE(woken, uint64_t{kThreads} * kCommitsEach);
