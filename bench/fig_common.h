@@ -1,7 +1,9 @@
-// Shared setup for the per-figure harnesses: database construction, the
-// paper's workload roster, and breakdown-row formatting.
+// Shared setup for the macro benches: database options, the paper's
+// workload roster, window options, the interleaved-window runner and its
+// median helper, and breakdown-row formatting.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -16,15 +18,6 @@
 
 namespace slidb::bench {
 
-/// A workload from the paper's evaluation roster (§5.1), paired with a
-/// fresh database sized for this machine (scaled down from the paper's
-/// Niagara-II datasets; see DESIGN.md).
-struct PaperWorkload {
-  std::string label;
-  std::unique_ptr<Database> db;
-  std::unique_ptr<Workload> workload;
-};
-
 inline DatabaseOptions BenchDbOptions(bool sli) {
   DatabaseOptions o;
   o.lock.sli = sli ? SliMode::kOn : SliMode::kOff;
@@ -38,112 +31,128 @@ inline DatabaseOptions BenchDbOptions(bool sli) {
   return o;
 }
 
-inline std::unique_ptr<PaperWorkload> MakeTm1(const std::string& label,
-                                              Tm1Workload::Mix mix,
-                                              Tm1TxnType type, bool quick,
-                                              bool sli) {
-  auto pw = std::make_unique<PaperWorkload>();
-  pw->label = label;
-  pw->db = std::make_unique<Database>(BenchDbOptions(sli));
-  Tm1Options opts;
-  opts.subscribers = quick ? 2'000 : 20'000;
-  pw->workload = std::make_unique<Tm1Workload>(opts, mix, type);
-  pw->workload->Load(*pw->db);
-  return pw;
-}
+/// One transaction or mix of the paper's evaluation roster (§5.1) with a
+/// factory for its (unloaded) workload, sized for this machine: scaled down
+/// from the paper's Niagara-II datasets, see DESIGN.md. Databases own
+/// background threads (log flusher, deadlock detector), so benches load
+/// one row at a time — never the whole roster at once.
+struct RosterEntry {
+  std::string label;
+  std::function<std::unique_ptr<Workload>()> make;
+};
 
-inline std::unique_ptr<PaperWorkload> MakeTpcb(bool quick, bool sli) {
-  auto pw = std::make_unique<PaperWorkload>();
-  pw->label = "TPC-B";
-  pw->db = std::make_unique<Database>(BenchDbOptions(sli));
-  TpcbOptions opts;
-  opts.branches = quick ? 4 : 16;
-  opts.tellers_per_branch = 10;
-  opts.accounts_per_branch = quick ? 1'000 : 10'000;
-  pw->workload = std::make_unique<TpcbWorkload>(opts);
-  pw->workload->Load(*pw->db);
-  return pw;
-}
-
-inline std::unique_ptr<PaperWorkload> MakeTpcc(const std::string& label,
-                                               TpccWorkload::Mix mix,
-                                               TpccTxnType type, bool quick,
-                                               bool sli) {
-  auto pw = std::make_unique<PaperWorkload>();
-  pw->label = label;
-  pw->db = std::make_unique<Database>(BenchDbOptions(sli));
-  TpccOptions opts;
+inline std::vector<RosterEntry> PaperRoster(bool quick) {
+  using Mix = Tm1Workload::Mix;
+  using TMix = TpccWorkload::Mix;
+  Tm1Options tm1;
+  tm1.subscribers = quick ? 2'000 : 20'000;
+  TpcbOptions tpcb;
+  tpcb.branches = quick ? 4 : 16;
+  tpcb.tellers_per_branch = 10;
+  tpcb.accounts_per_branch = quick ? 1'000 : 10'000;
+  TpccOptions tpcc;
   // Enough warehouses that Payment's w_ytd row conflicts stay moderate at
   // the default 8-agent load (the paper used 300 warehouses for 64
   // contexts; true row conflicts are not what Fig 11 measures).
-  opts.warehouses = quick ? 4 : 8;
-  opts.districts_per_warehouse = 10;
-  opts.customers_per_district = quick ? 300 : 1'000;
-  opts.items = quick ? 1'000 : 10'000;
-  opts.initial_orders_per_district = quick ? 30 : 100;
-  pw->workload = std::make_unique<TpccWorkload>(opts, mix, type);
-  pw->workload->Load(*pw->db);
-  return pw;
+  tpcc.warehouses = quick ? 4 : 8;
+  tpcc.districts_per_warehouse = 10;
+  tpcc.customers_per_district = quick ? 300 : 1'000;
+  tpcc.items = quick ? 1'000 : 10'000;
+  tpcc.initial_orders_per_district = quick ? 30 : 100;
+
+  const auto tm1_row = [tm1](const char* label, Mix mix, Tm1TxnType type) {
+    return RosterEntry{label, [=] {
+                         return std::make_unique<Tm1Workload>(tm1, mix, type);
+                       }};
+  };
+  const auto tpcc_row = [tpcc](const char* label, TMix mix,
+                               TpccTxnType type) {
+    return RosterEntry{label, [=] {
+                         return std::make_unique<TpccWorkload>(tpcc, mix,
+                                                               type);
+                       }};
+  };
+  return {
+      tm1_row("getSub", Mix::kSingle, Tm1TxnType::kGetSubscriberData),
+      tm1_row("getDest", Mix::kSingle, Tm1TxnType::kGetNewDestination),
+      tm1_row("getAccess", Mix::kSingle, Tm1TxnType::kGetAccessData),
+      tm1_row("updateSub", Mix::kSingle, Tm1TxnType::kUpdateSubscriberData),
+      tm1_row("updateLoc", Mix::kSingle, Tm1TxnType::kUpdateLocation),
+      tm1_row("ForwardMix", Mix::kForward, Tm1TxnType::kGetNewDestination),
+      tm1_row("NDBB-Mix", Mix::kFull, Tm1TxnType::kGetSubscriberData),
+      {"TPC-B", [tpcb] { return std::make_unique<TpcbWorkload>(tpcb); }},
+      tpcc_row("Payment", TMix::kSingle, TpccTxnType::kPayment),
+      tpcc_row("NewOrder", TMix::kSingle, TpccTxnType::kNewOrder),
+      tpcc_row("OrderStatus", TMix::kSingle, TpccTxnType::kOrderStatus),
+      // No Delivery row: alone it drains the preloaded new-orders during
+      // warm-up, after which every Delivery is an empty transaction.
+      tpcc_row("StockLevel", TMix::kSingle, TpccTxnType::kStockLevel),
+      tpcc_row("SmallMix", TMix::kSmall, TpccTxnType::kPayment),
+      tpcc_row("TPCC-Mix", TMix::kFull, TpccTxnType::kPayment),
+  };
 }
 
-/// Lazy factory for one roster entry. Databases own background threads
-/// (log flusher, deadlock detector), so benches must construct one at a
-/// time — never the whole roster at once.
-struct RosterEntry {
-  std::string label;
-  std::function<std::unique_ptr<PaperWorkload>(bool sli)> make;
+/// Closed-loop options for one measurement window of `agents` agents.
+inline DriverOptions WindowOptions(const BenchArgs& args, int agents) {
+  DriverOptions dopts;
+  dopts.num_agents = agents;
+  dopts.duration_s = args.duration_s;
+  dopts.warmup_s = args.warmup_s;
+  dopts.seed = args.seed;
+  return dopts;
+}
+
+/// Windows per variant in an interleaved comparison.
+constexpr int kReps = 3;
+
+/// The median of repeated windows, and the spread of the key it was
+/// chosen by.
+template <typename T>
+struct MedianSpread {
+  T median;
+  double min = 0;
+  double max = 0;
 };
 
-/// The ten transactions / mixes of Figure 6 and friends.
-/// `which`: bitmask — 1 = TM1 singles, 2 = mixes, 4 = TPC-B, 8 = TPC-C.
-inline std::vector<RosterEntry> PaperRoster(bool quick, int which = 15) {
-  std::vector<RosterEntry> roster;
-  using Mix = Tm1Workload::Mix;
-  using TMix = TpccWorkload::Mix;
-  const auto tm1 = [quick](const char* label, Mix mix, Tm1TxnType type) {
-    return RosterEntry{label, [=](bool sli) {
-                         return MakeTm1(label, mix, type, quick, sli);
-                       }};
-  };
-  const auto tpcc = [quick](const char* label, TMix mix, TpccTxnType type) {
-    return RosterEntry{label, [=](bool sli) {
-                         return MakeTpcc(label, mix, type, quick, sli);
-                       }};
-  };
-  if (which & 1) {
-    roster.push_back(tm1("getSub", Mix::kSingle,
-                         Tm1TxnType::kGetSubscriberData));
-    roster.push_back(tm1("getDest", Mix::kSingle,
-                         Tm1TxnType::kGetNewDestination));
-    roster.push_back(tm1("getAccess", Mix::kSingle,
-                         Tm1TxnType::kGetAccessData));
-    roster.push_back(tm1("updateSub", Mix::kSingle,
-                         Tm1TxnType::kUpdateSubscriberData));
-    roster.push_back(tm1("updateLoc", Mix::kSingle,
-                         Tm1TxnType::kUpdateLocation));
+/// Picks the window whose `key` is the median (the upper one for an even
+/// count); `windows` must not be empty.
+template <typename T, typename Key>
+MedianSpread<T> MedianOf(std::vector<T> windows, Key key) {
+  std::sort(windows.begin(), windows.end(),
+            [&](const T& a, const T& b) { return key(a) < key(b); });
+  return {windows[windows.size() / 2], key(windows.front()),
+          key(windows.back())};
+}
+
+/// Measures configurations of one loaded database against each other. On
+/// a small shared host the background load swings by 2-3x on a minutes
+/// scale, so only back-to-back windows are comparable; sequential
+/// per-variant runs would measure the neighbours, not the variants. After
+/// one discarded warm-up window (cold allocators, an unwarmed buffer pool
+/// and an empty lock table would depress whichever variant ran first),
+/// each round applies every variant and runs one window with it: in order
+/// on even rounds and reversed on odd ones, so a steady drift in host
+/// speed favours no variant. Variants mutate the database between
+/// windows only (e.g. Database::SetSliMode); RunWorkload joins every agent
+/// before it returns. Returns windows[variant][round], kReps rounds.
+inline std::vector<std::vector<DriverResult>> RunInterleaved(
+    Database& db, Workload& workload, const DriverOptions& dopts,
+    const std::vector<std::function<void(Database&)>>& variants) {
+  DriverOptions wopts = dopts;
+  wopts.duration_s = std::min(0.5, dopts.duration_s);
+  wopts.warmup_s = 0.0;
+  (void)RunWorkload(db, workload, wopts);
+
+  const size_t n = variants.size();
+  std::vector<std::vector<DriverResult>> windows(n);
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (size_t i = 0; i < n; ++i) {
+      const size_t v = rep % 2 == 0 ? i : n - 1 - i;
+      variants[v](db);
+      windows[v].push_back(RunWorkload(db, workload, dopts));
+    }
   }
-  if (which & 2) {
-    roster.push_back(tm1("ForwardMix", Mix::kForward,
-                         Tm1TxnType::kGetNewDestination));
-    roster.push_back(tm1("NDBB-Mix", Mix::kFull,
-                         Tm1TxnType::kGetSubscriberData));
-  }
-  if (which & 4) {
-    roster.push_back(RosterEntry{
-        "TPC-B", [quick](bool sli) { return MakeTpcb(quick, sli); }});
-  }
-  if (which & 8) {
-    roster.push_back(tpcc("Payment", TMix::kSingle, TpccTxnType::kPayment));
-    roster.push_back(tpcc("NewOrder", TMix::kSingle, TpccTxnType::kNewOrder));
-    roster.push_back(
-        tpcc("OrderStatus", TMix::kSingle, TpccTxnType::kOrderStatus));
-    roster.push_back(tpcc("Delivery", TMix::kSingle, TpccTxnType::kDelivery));
-    roster.push_back(
-        tpcc("StockLevel", TMix::kSingle, TpccTxnType::kStockLevel));
-    roster.push_back(tpcc("SmallMix", TMix::kSmall, TpccTxnType::kPayment));
-    roster.push_back(tpcc("TPCC-Mix", TMix::kFull, TpccTxnType::kPayment));
-  }
-  return roster;
+  return windows;
 }
 
 /// Percentage of CPU time (work + contention) by category, matching the
@@ -176,28 +185,6 @@ inline BreakdownRow ComputeBreakdown(const ProfileSnapshot& p) {
   row.other_work = 100.0 * other_work / cpu;
   row.other_cont = 100.0 * other_cont / cpu;
   return row;
-}
-
-/// Run a thread ladder and return the result with the highest throughput
-/// (the paper reports breakdowns "at peak performance", Fig 6).
-inline DriverResult RunAtPeak(Database& db, Workload& w, const BenchArgs& args,
-                              int* peak_threads) {
-  DriverResult best;
-  int best_threads = 1;
-  for (int threads : ThreadLadder(args.max_threads)) {
-    DriverOptions dopts;
-    dopts.num_agents = threads;
-    dopts.duration_s = args.duration_s;
-    dopts.warmup_s = args.warmup_s;
-    dopts.seed = args.seed;
-    const DriverResult r = RunWorkload(db, w, dopts);
-    if (r.tps > best.tps) {
-      best = r;
-      best_threads = threads;
-    }
-  }
-  *peak_threads = best_threads;
-  return best;
 }
 
 }  // namespace slidb::bench

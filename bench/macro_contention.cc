@@ -12,8 +12,8 @@
 //
 // Emits a human table on stdout and, with --json=FILE, the
 // BENCH_contention.json record consumed by CI's bench smoke job.
-#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <vector>
@@ -36,7 +36,8 @@ struct ContentionSample {
   double theta = 0;
   const char* mode = "";
   int agents = 0;
-  double tps = 0;
+  double tps = 0;  ///< median window
+  double tps_min = 0, tps_max = 0;
   uint64_t commits = 0;
   uint64_t deadlock_aborts = 0;
   uint64_t lock_waits = 0;
@@ -49,16 +50,9 @@ struct ContentionSample {
   uint64_t adaptive_cooldowns = 0;
 };
 
-constexpr int kReps = 3;
-
 /// One matrix cell = one database + loaded scenario, all three SLI modes
-/// measured against it. Modes are interleaved round-robin at window
-/// granularity (off, always-on, adaptive, off, ...) and each mode keeps its
-/// median window: on a small shared host the background load swings by 2-3x
-/// on a minutes scale, so back-to-back windows are the only ones that are
-/// comparable — sequential per-mode runs would measure the neighbors, not
-/// the policy. SetSliMode between windows is the documented between-runs
-/// mutation; RunWorkload joins every agent before returning.
+/// measured against it through RunInterleaved; each mode keeps its median
+/// window.
 std::vector<ContentionSample> RunCell(ContentionOptions copts, int agents,
                                       const BenchArgs& args) {
   DatabaseOptions o = BenchDbOptions(/*sli=*/false);
@@ -72,47 +66,29 @@ std::vector<ContentionSample> RunCell(ContentionOptions copts, int agents,
   ContentionWorkload workload(copts);
   workload.Load(db);
 
-  DriverOptions dopts;
-  dopts.num_agents = agents;
-  dopts.duration_s = args.duration_s;
-  dopts.warmup_s = args.warmup_s;
-  dopts.seed = args.seed;
-
-  // Discarded warm-up window: the first moments after a load run on cold
-  // allocators, an unwarmed buffer pool, and an empty lock table, which
-  // would systematically depress whichever mode goes first.
-  {
-    DriverOptions wopts = dopts;
-    wopts.duration_s = std::min(0.5, args.duration_s);
-    wopts.warmup_s = 0.0;
-    (void)RunWorkload(db, workload, wopts);
+  std::vector<std::function<void(Database&)>> variants;
+  for (SliMode mode : kModes) {
+    variants.push_back([mode](Database& d) { d.SetSliMode(mode); });
   }
-
-  constexpr size_t kNumModes = std::size(kModes);
-  DriverResult reps[kNumModes][kReps];
-  for (int rep = 0; rep < kReps; ++rep) {
-    for (size_t m = 0; m < kNumModes; ++m) {
-      db.SetSliMode(kModes[m]);
-      reps[m][rep] = RunWorkload(db, workload, dopts);
-    }
-  }
+  const std::vector<std::vector<DriverResult>> windows =
+      RunInterleaved(db, workload, WindowOptions(args, agents), variants);
   // Cumulative over the cell's whole run; identical for the three rows by
   // construction (heat is a property of the workload, not the policy).
   const ContentionHeatReport heat = ContentionWorkload::MeasureHeat(db);
 
   std::vector<ContentionSample> out;
-  for (size_t m = 0; m < kNumModes; ++m) {
-    std::sort(std::begin(reps[m]), std::end(reps[m]),
-              [](const DriverResult& a, const DriverResult& b) {
-                return a.tps < b.tps;
-              });
-    const DriverResult& r = reps[m][kReps / 2];
+  for (size_t m = 0; m < std::size(kModes); ++m) {
+    const MedianSpread<DriverResult> spread = MedianOf(
+        windows[m], [](const DriverResult& r) { return r.tps; });
+    const DriverResult& r = spread.median;
     ContentionSample s;
     s.scenario = ContentionScenarioName(copts.scenario);
     s.theta = copts.theta;
     s.mode = SliModeName(kModes[m]);
     s.agents = agents;
     s.tps = r.tps;
+    s.tps_min = spread.min;
+    s.tps_max = spread.max;
     s.commits = r.commits;
     s.deadlock_aborts = r.deadlock_aborts;
     s.lock_waits = r.counters.Get(Counter::kLockWaits);
@@ -209,6 +185,8 @@ int Main(int argc, char** argv) {
     json.Key("mode").Value(s.mode);
     json.Key("agents").Value(s.agents);
     json.Key("tps").Value(s.tps);
+    json.Key("tps_min").Value(s.tps_min);
+    json.Key("tps_max").Value(s.tps_max);
     json.Key("commits").Value(s.commits);
     json.Key("deadlock_aborts").Value(s.deadlock_aborts);
     json.Key("lock_waits").Value(s.lock_waits);

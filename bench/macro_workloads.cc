@@ -42,7 +42,8 @@ struct LogAppendSample {
   const char* mode;
   int threads;
   uint32_t payload_bytes = 0;
-  double appends_per_s = 0;
+  double appends_per_s = 0;        ///< median of kReps windows
+  double appends_per_s_min = 0, appends_per_s_max = 0;
   double mb_per_s = 0;
   uint64_t resv_retries = 0;
   uint64_t batch_appends = 0;       ///< batch publications (batched mode)
@@ -138,14 +139,17 @@ struct WorkloadSample {
   double log_pct = 0;
 };
 
+/// A loaded workload paired with the database it runs against.
+struct PaperWorkload {
+  std::string label;
+  std::unique_ptr<Database> db;
+  std::unique_ptr<Workload> workload;
+};
+
 WorkloadSample RunWorkloadPoint(PaperWorkload& pw, const char* config,
                                 int agents, const BenchArgs& args) {
-  DriverOptions dopts;
-  dopts.num_agents = agents;
-  dopts.duration_s = args.duration_s;
-  dopts.warmup_s = args.warmup_s;
-  dopts.seed = args.seed;
-  const DriverResult r = RunWorkload(*pw.db, *pw.workload, dopts);
+  const DriverResult r =
+      RunWorkload(*pw.db, *pw.workload, WindowOptions(args, agents));
 
   WorkloadSample s;
   s.workload = pw.label;
@@ -181,20 +185,10 @@ std::unique_ptr<PaperWorkload> MakeConfigured(const char* which,
     o.txn.speculative_reads = true;
   }
   auto pw = std::make_unique<PaperWorkload>();
+  pw->label = which;
   pw->db = std::make_unique<Database>(o);
-  if (std::strcmp(which, "TPC-B") == 0) {
-    pw->label = "TPC-B";
-    TpcbOptions opts;
-    opts.branches = quick ? 4 : 16;
-    opts.tellers_per_branch = 10;
-    opts.accounts_per_branch = quick ? 1'000 : 10'000;
-    pw->workload = std::make_unique<TpcbWorkload>(opts);
-  } else {
-    pw->label = "NDBB-Mix";
-    Tm1Options opts;
-    opts.subscribers = quick ? 2'000 : 20'000;
-    pw->workload = std::make_unique<Tm1Workload>(opts, Tm1Workload::Mix::kFull,
-                                                 Tm1TxnType::kGetSubscriberData);
+  for (const RosterEntry& e : PaperRoster(quick)) {
+    if (e.label == which) pw->workload = e.make();
   }
   pw->workload->Load(*pw->db);
   return pw;
@@ -221,7 +215,22 @@ int Main(int argc, char** argv) {
   TablePrinter log_table({"mode", "threads", "payload", "appends/s", "MB/s",
                           "resv_retries", "rec/batch"});
   std::vector<LogAppendSample> log_samples;
-  const auto add_log_row = [&](const LogAppendSample& s) {
+  // Each row is the median of kReps windows: single short windows of this
+  // loop swing 2-4x between back-to-back runs.
+  const auto add_log_row = [&](const char* label, int threads,
+                               uint32_t payload_bytes,
+                               uint32_t batch_records) {
+    std::vector<LogAppendSample> windows;
+    for (int rep = 0; rep < kReps; ++rep) {
+      windows.push_back(RunLogAppend(label, threads, append_window,
+                                     payload_bytes, batch_records));
+    }
+    const MedianSpread<LogAppendSample> spread =
+        MedianOf(std::move(windows),
+                 [](const LogAppendSample& w) { return w.appends_per_s; });
+    LogAppendSample s = spread.median;
+    s.appends_per_s_min = spread.min;
+    s.appends_per_s_max = spread.max;
     log_samples.push_back(s);
     log_table.Row({s.mode, Fmt("%d", s.threads), Fmt("%u", s.payload_bytes),
                    Fmt("%.0f", s.appends_per_s), Fmt("%.1f", s.mb_per_s),
@@ -230,18 +239,16 @@ int Main(int argc, char** argv) {
                    Fmt("%.1f", s.records_per_batch)});
   };
   for (int threads : agent_ladder) {
-    add_log_row(RunLogAppend("reserve", threads, append_window, 96));
+    add_log_row("reserve", threads, 96, 0);
   }
   for (int threads : agent_ladder) {
-    add_log_row(RunLogAppend("batched", threads, append_window, 96,
-                             kBatchedRecords));
+    add_log_row("batched", threads, 96, kBatchedRecords);
   }
   for (int threads : agent_ladder) {
-    add_log_row(RunLogAppend("reserve_tiny", threads, append_window, 16));
+    add_log_row("reserve_tiny", threads, 16, 0);
   }
   for (int threads : agent_ladder) {
-    add_log_row(RunLogAppend("batched_tiny", threads, append_window, 16,
-                             kBatchedRecords));
+    add_log_row("batched_tiny", threads, 16, kBatchedRecords);
   }
   const auto best_of = [&](const char* mode) {
     double best = 0;
@@ -363,6 +370,8 @@ int Main(int argc, char** argv) {
     json.Key("threads").Value(s.threads);
     json.Key("payload_bytes").Value(static_cast<uint64_t>(s.payload_bytes));
     json.Key("appends_per_s").Value(s.appends_per_s);
+    json.Key("appends_per_s_min").Value(s.appends_per_s_min);
+    json.Key("appends_per_s_max").Value(s.appends_per_s_max);
     json.Key("mb_per_s").Value(s.mb_per_s);
     json.Key("resv_retries").Value(s.resv_retries);
     json.Key("batch_appends").Value(s.batch_appends);

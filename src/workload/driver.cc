@@ -91,6 +91,13 @@ DriverResult RunWorkload(Database& db, Workload& workload,
             slot.profile_end = agent.profile().Snapshot();
             slot.counters_end = agent.counters();
             slot.saw_end = true;
+            // Retire the agent's inherited locks before it is destroyed:
+            // nothing else can reclaim or discard them, so they would stay
+            // linked into their heads for good, lengthening the queues
+            // every later run works through. An empty transaction's commit
+            // discards every inherited lock it left unused, i.e. all.
+            db.Begin(&agent);
+            (void)db.Commit(&agent);
             break;
           }
           local_phase = p;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "src/stats/counters.h"
 #include "src/stats/profiler.h"
@@ -106,6 +107,68 @@ TEST(ProfilerTest, BlockedTimeExcludedFromCpu) {
   EXPECT_GT(snap.TotalBlocked(), 0u);
   // Blocked cycles must not be folded into work or contention.
   EXPECT_LT(snap.TotalCpu(), snap.TotalBlocked() + snap.TotalCpu());
+}
+
+// The paper's Figure 5 methodology on five threads sharing one window:
+// daemons that mostly sleep show as blocked, two threads serializing on a
+// latch split their CPU between work and contention, and a busy thread is
+// all work. The spins measure wall time, so an OS preemption can skew one
+// window; retry per the test-hygiene rule above.
+TEST(ProfilerTest, Figure5RolesAttribution) {
+  const auto attempt = [] {
+    constexpr uint64_t kWindowNs = 300'000'000;
+    SpinLatch latch;
+    std::vector<ThreadProfile> profiles(5);
+    std::vector<std::thread> threads;
+    const uint64_t deadline = NowNanos() + kWindowNs;
+    for (int i = 0; i < 2; ++i) {  // daemons
+      threads.emplace_back([&, i] {
+        ScopedThreadProfile scope(&profiles[i]);
+        while (NowNanos() < deadline) {
+          const uint64_t t0 = RdCycles();
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+          profiles[i].AttributeBlocked(t0, RdCycles());
+          SpinForNanos(100'000);
+        }
+      });
+    }
+    // Serializers hold the latch for 2 ms; the short pause after release
+    // lets the peer's spin loop see the latch free before it is retaken.
+    for (int i = 2; i < 4; ++i) {
+      threads.emplace_back([&, i] {
+        ScopedThreadProfile scope(&profiles[i]);
+        ScopedComponent comp(Component::kLockManager);
+        while (NowNanos() < deadline) {
+          latch.Acquire();
+          SpinForNanos(2'000'000);
+          latch.Release();
+          SpinForNanos(50'000);
+        }
+      });
+    }
+    threads.emplace_back([&] {  // busy
+      ScopedThreadProfile scope(&profiles[4]);
+      while (NowNanos() < deadline) SpinForNanos(1'000'000);
+    });
+    for (auto& t : threads) t.join();
+
+    std::vector<ProfileSnapshot> s;
+    for (ThreadProfile& p : profiles) s.push_back(p.Snapshot());
+    for (int i = 0; i < 2; ++i) {
+      if (s[i].TotalBlocked() < 4 * s[i].TotalCpu()) return false;
+    }
+    for (int i = 2; i < 4; ++i) {
+      const double cpu = static_cast<double>(s[i].TotalCpu());
+      const double cont = static_cast<double>(s[i].TotalContention());
+      if (cont < 0.2 * cpu || cont > 0.8 * cpu) return false;
+    }
+    return s[4].TotalWork() > 0 && s[4].TotalContention() == 0 &&
+           s[4].TotalBlocked() == 0;
+  };
+  for (int i = 0; i < 5; ++i) {
+    if (attempt()) return;
+  }
+  FAIL() << "Figure 5 roles were misattributed in 5 attempts";
 }
 
 TEST(ProfilerTest, SnapshotArithmetic) {

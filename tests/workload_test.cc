@@ -454,5 +454,29 @@ TEST(DriverTest, SliTogglesAcrossRuns) {
   EXPECT_GE(inh + 1000000, rec);  // reclaimed never exceeds inherited (+slack)
 }
 
+TEST(DriverTest, RetiredAgentsLeaveNoInheritedLocks) {
+  Database db(SmallDbOptions(false));
+  Tm1Options opts;
+  opts.subscribers = 1000;
+  Tm1Workload tm1(opts);
+  tm1.Load(db);
+  db.SetSliMode(SliMode::kAlwaysInherit);
+
+  DriverOptions dopts;
+  dopts.num_agents = 4;
+  dopts.duration_s = 0.2;
+  dopts.warmup_s = 0.05;
+  const DriverResult r = RunWorkload(db, tm1, dopts);
+  ASSERT_GT(r.counters.Get(Counter::kSliInherited), 0u);
+
+  // The run's agents are gone, so an inherited request still linked into a
+  // head has no owner left to reclaim or discard it.
+  uint64_t orphans = 0;
+  db.lock_manager().table().ForEachHead([&](LockHead* h) {
+    orphans += h->inherited_hint.load(std::memory_order_acquire);
+  });
+  EXPECT_EQ(orphans, 0u);
+}
+
 }  // namespace
 }  // namespace slidb
